@@ -18,12 +18,11 @@ __all__ = [
     "Tape",
     "no_grad",
     "backward",
-    "forward_primitive",
     "finite_difference_check",
     "unique_parameters",
     "add", "sub", "mul", "div", "neg", "matmul", "exp", "softplus",
     "sigmoid", "silu", "relu", "softmax_lastdim", "l2_normalize_lastdim",
-    "layer_norm", "flip_time", "concat", "concat_time", "sum_", "mean_",
+    "layer_norm", "flip_time", "concat", "sum_", "mean_",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
 
@@ -426,10 +425,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def concat_time(tensors):
-    return concat(tensors, axis=0)
-
-
 def sum_(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
@@ -497,38 +492,6 @@ def transpose(a, axes=None):
 
     _record(out, (a,), bwd)
     return out
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "exp": exp,
-    "softplus": softplus,
-    "silu": silu,
-    "relu": relu,
-    "softmax_lastdim": softmax_lastdim,
-    "l2_normalize_lastdim": l2_normalize_lastdim,
-    "layer_norm": layer_norm,
-    "flip_time": flip_time,
-    "concat_time": concat_time,
-    "mean": mean_,
-    "max_over_time": max_over_time,
-    "slice": slicer,
-    "reshape": reshape,
-}
-
-
-def forward_primitive(op_kind, *inputs, **kwargs):
-    """Dispatch a primitive by name. Inputs must be Tensors (or lists thereof)."""
-    if op_kind not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {op_kind!r}; "
-                         f"valid kinds: {sorted(_PRIMITIVES)}")
-    for x in inputs:
-        arrays = x if isinstance(x, (list, tuple)) else (x,)
-        for t in arrays:
-            _check_finite(op_kind, t.data)
-    return _PRIMITIVES[op_kind](*inputs, **kwargs)
 
 
 def backward(loss):

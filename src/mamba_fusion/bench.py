@@ -104,7 +104,8 @@ def model_macs(config, length=None, mode="recurrent"):
     else:
         block = macs_bimamba(l, d, c.expansion, c.state_dim, c.conv_width,
                              mode)
-        breakdown["context"] = 4 * c.tc_depth * block
+        # four blocks plus the halving of the two text outputs per depth
+        breakdown["context"] = c.tc_depth * (4 * block + l * d)
         breakdown["latent"] = c.tq_depth * block
     breakdown["cross_attention"] = macs_attention(l, 2 * l, d, c.heads)
     breakdown["head"] = d

@@ -107,43 +107,33 @@ def save_checkpoint(model, outdir):
 
 def load_checkpoint(directory, seed=0):
     manifest, named = container.load_named(directory)
-    kw = {}
-    for name, ftype in _MODEL_FIELDS.items():
-        raw = manifest.get(f"config_{name}")
-        if raw is None:
-            continue
-        if ftype in ("bool", bool):
-            kw[name] = raw == "True"
-        elif ftype in ("int", int):
-            kw[name] = int(raw)
-        elif ftype in ("float", float):
-            kw[name] = float(raw)
-        else:
-            kw[name] = raw
+    kw = {name: container.manifest_value(
+              manifest, f"config_{name}",
+              lambda v: _coerce(name, v, _MODEL_FIELDS, "model"))
+          for name in _MODEL_FIELDS if f"config_{name}" in manifest}
     model = TextFusionModel(ModelConfig(**kw), seed=seed)
     model.load_state_arrays(named)
     return model
 
 
-def _dataset_for(args, model_cfg):
-    if args.data:
-        return datagen.load(args.data)
+def _synthetic(model_cfg, n, seed):
     shapes = datagen.ShapeSpec(
         model_cfg.t_text, model_cfg.d_text, model_cfg.t_visual,
         model_cfg.d_visual, model_cfg.t_audio, model_cfg.d_audio)
-    return datagen.generate(args.n, shapes=shapes, seed=args.seed,
+    return datagen.generate(n, shapes=shapes, seed=seed,
                             label_range=(model_cfg.label_low,
                                          model_cfg.label_high))
 
 
+def _dataset_for(args, model_cfg):
+    if args.data:
+        return datagen.load(args.data)
+    return _synthetic(model_cfg, args.n, args.seed)
+
+
 def cmd_generate(args):
     model_cfg, _ = load_config(args.config, args.preset, args.set)
-    shapes = datagen.ShapeSpec(
-        model_cfg.t_text, model_cfg.d_text, model_cfg.t_visual,
-        model_cfg.d_visual, model_cfg.t_audio, model_cfg.d_audio)
-    ds = datagen.generate(args.n, shapes=shapes, seed=args.seed,
-                          label_range=(model_cfg.label_low,
-                                       model_cfg.label_high))
+    ds = _synthetic(model_cfg, args.n, args.seed)
     datagen.save(ds, args.out)
     datagen.export_labels_csv(ds, Path(args.out) / "labels.csv")
     print(f"wrote {args.n} samples to {args.out}")
@@ -235,12 +225,7 @@ def cmd_bench(args):
 def cmd_gradcheck(args):
     model_cfg, _ = load_config(args.config, args.preset, args.set)
     model = TextFusionModel(model_cfg, seed=args.seed)
-    shapes = datagen.ShapeSpec(
-        model_cfg.t_text, model_cfg.d_text, model_cfg.t_visual,
-        model_cfg.d_visual, model_cfg.t_audio, model_cfg.d_audio)
-    ds = datagen.generate(2, shapes=shapes, seed=args.seed,
-                          label_range=(model_cfg.label_low,
-                                       model_cfg.label_high))
+    ds = _synthetic(model_cfg, 2, args.seed)
     cfg = harness.CorruptionConfig(mode="test_fixed", rate=0.3, seed=args.seed)
     batch = harness.corrupt_batch(ds.samples, cfg, ds.unknown_text_vector)
 

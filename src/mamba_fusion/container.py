@@ -35,6 +35,10 @@ class ManifestShapeError(ContainerError):
     """Stored tensor shapes disagree with the manifest."""
 
 
+class ManifestKeyError(ContainerError):
+    """A manifest entry is missing or cannot be parsed."""
+
+
 def write_tensor(fh, array):
     arr = np.ascontiguousarray(array)
     code = _DTYPE_CODES.get(arr.dtype)
@@ -102,18 +106,34 @@ def save_named(directory, named_arrays, extra_manifest=()):
             write_tensor(fh, np.asarray(arr, dtype=np.float64))
 
 
+def manifest_value(manifest, key, parse):
+    """``parse(manifest[key])``; a missing or unparsable entry raises a
+    ManifestKeyError that names the key."""
+    if key not in manifest:
+        raise ManifestKeyError(f"manifest has no {key!r} entry")
+    try:
+        return parse(manifest[key])
+    except ValueError as e:
+        raise ManifestKeyError(f"manifest entry {key!r}: {e}") from None
+
+
+def _named_shape(entry):
+    name, _, shape = entry.partition(":")
+    return name, () if shape == "scalar" else \
+        tuple(int(s) for s in shape.split("x"))
+
+
 def load_named(directory):
     """Read back (manifest dict, list of (name, array))."""
     d = Path(directory)
     manifest = read_manifest(d / "manifest.txt")
-    count = int(manifest["tensor_count"])
+    count = manifest_value(manifest, "tensor_count", int)
     named = []
     with open(d / "tensors.bin", "rb") as fh:
         for i in range(count):
-            name, _, shape_s = manifest[f"tensor_{i}"].partition(":")
+            name, declared = manifest_value(manifest, f"tensor_{i}",
+                                            _named_shape)
             arr = read_tensor(fh)
-            declared = () if shape_s == "scalar" else \
-                tuple(int(s) for s in shape_s.split("x"))
             if arr.shape != declared:
                 raise ManifestShapeError(
                     f"tensor {name}: manifest says {declared}, "

@@ -9,7 +9,7 @@ snr_profile).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,13 +145,26 @@ def save(dataset, directory):
     container.save_named(directory, named, extra)
 
 
+def _shape_pair(value):
+    t, d = (int(v) for v in value.split("x"))
+    return t, d
+
+
 def load(directory):
     manifest, named = container.load_named(directory)
-    n = int(manifest["n_samples"])
+
+    def get(key, parse):
+        return container.manifest_value(manifest, key, parse)
+
+    n = get("n_samples", int)
+    if len(named) != 3 * n + 2:
+        raise container.ManifestKeyError(
+            f"manifest entry 'n_samples': {n} samples need {3 * n + 2} "
+            f"tensors, the file holds {len(named)}")
     arrays = dict(named)
-    tt, dt = (int(v) for v in manifest["shape_text"].split("x"))
-    tv, dv = (int(v) for v in manifest["shape_visual"].split("x"))
-    ta, da = (int(v) for v in manifest["shape_audio"].split("x"))
+    tt, dt = get("shape_text", _shape_pair)
+    tv, dv = get("shape_visual", _shape_pair)
+    ta, da = get("shape_audio", _shape_pair)
     shapes = ShapeSpec(tt, dt, tv, dv, ta, da)
     labels = arrays["labels"]
     samples = []
@@ -165,14 +178,11 @@ def load(directory):
                     f"sample {i}: expected {exp}, got {arr.shape}")
         samples.append(Sample(x_t, x_v, x_a, float(labels[i])))
     return Dataset(
-        samples, shapes,
-        float(manifest["label_low"]), float(manifest["label_high"]),
-        int(manifest["seed"]),
-        {"t": float(manifest["snr_t"]), "v": float(manifest["snr_v"]),
-         "a": float(manifest["snr_a"])},
+        samples, shapes, get("label_low", float), get("label_high", float),
+        get("seed", int),
+        {m: get(f"snr_{m}", float) for m in ("t", "v", "a")},
         arrays["unknown_text_vector"],
-        (int(manifest["split_train"]), int(manifest["split_valid"]),
-         int(manifest["split_test"])),
+        tuple(get(f"split_{k}", int) for k in ("train", "valid", "test")),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, mul, add, sum_
+from .autodiff import Tensor, add, mul
 
 MODALITIES = ("t", "v", "a")
 SWEEP_RATES = tuple(round(0.1 * i, 1) for i in range(10))
@@ -94,15 +94,6 @@ def corrupt_batch(samples, cfg, unknown_text_vector, epoch=0, index_offset=0):
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-
-def task_loss(y, y_hat):
-    """Mean squared error over the batch (plain arrays)."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ValueError("task_loss: length mismatch")
-    return float(np.mean((y - y_hat) ** 2))
-
 
 def task_loss_tensor(y_hats, labels):
     """Differentiable mean squared error from per-sample prediction Tensors."""

@@ -9,11 +9,12 @@ bidirectional scan block is replaced by a self-attention block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, unique_parameters
+from .ssm import BiMamba
 from .tc_mamba import TcStack
 from .tme import Aligner, TextReconstructor, enhance, recon_loss, \
     threshold_mask, token_similarity
@@ -87,28 +88,26 @@ class SelfAttentionBlock:
         return self.attn(x, x)
 
 
+def _attention_stack(depth, d_model, heads, rng, name):
+    return LatentStack(SelfAttentionBlock(d_model, heads, rng,
+                                          name=f"{name}{i}")
+                       for i in range(depth))
+
+
 class _TransStreams:
     """Per-stream self-attention stacks replacing the context pairs."""
 
-    def __init__(self, depth, d_model, heads, rng, name="tc_trans"):
-        self.streams = {
-            m: [SelfAttentionBlock(d_model, heads, rng, name=f"{name}.{m}{i}")
-                for i in range(depth)]
-            for m in ("t", "v", "a")
-        }
+    def __init__(self, depth, d_model, heads, rng):
+        self.streams = [_attention_stack(depth, d_model, heads, rng,
+                                         f"tc_trans.{m}")
+                        for m in ("t", "v", "a")]
 
     def parameters(self):
-        return [p for blocks in self.streams.values()
-                for b in blocks for p in b.parameters()]
+        return [p for stack in self.streams for p in stack.parameters()]
 
     def __call__(self, c_t, c_v, c_a):
-        for b in self.streams["t"]:
-            c_t = b(c_t)
-        for b in self.streams["v"]:
-            c_v = b(c_v)
-        for b in self.streams["a"]:
-            c_a = b(c_a)
-        return c_t, c_v, c_a
+        return tuple(stack(x) for stack, x in
+                     zip(self.streams, (c_t, c_v, c_a)))
 
 
 class TextFusionModel:
@@ -127,20 +126,16 @@ class TextFusionModel:
         self.reconstructor = TextReconstructor(c.d_model, c.d_text, rng)
         if c.use_attention:
             self.context = _TransStreams(c.tc_depth, c.d_model, c.heads, rng)
-            self.latent = _TransStreams(c.tq_depth, c.d_model, c.heads, rng,
-                                        name="tq_trans")
-            self._latent_is_streams = True
+            self.latent = _attention_stack(c.tq_depth, c.d_model, c.heads,
+                                           rng, "tq_trans")
         else:
+            block = dict(expansion=c.expansion, conv_width=c.conv_width,
+                         scan_mode=c.scan_mode)
             self.context = TcStack(c.tc_depth, c.d_model, c.state_dim, rng,
-                                   expansion=c.expansion,
-                                   conv_width=c.conv_width,
-                                   scan_mode=c.scan_mode,
-                                   share=c.share_transitions)
-            self.latent = LatentStack(c.tq_depth, c.d_model, c.state_dim, rng,
-                                      expansion=c.expansion,
-                                      conv_width=c.conv_width,
-                                      scan_mode=c.scan_mode)
-            self._latent_is_streams = False
+                                   share=c.share_transitions, **block)
+            self.latent = LatentStack(
+                BiMamba(c.d_model, c.state_dim, rng, name=f"tq{i}", **block)
+                for i in range(c.tq_depth))
         self.cross_attn = CrossAttention(c.d_model, c.heads, rng)
         self.head = FusionHead(c.d_model, rng)
 
@@ -148,16 +143,8 @@ class TextFusionModel:
         ps = (self.align_t.parameters() + self.align_v.parameters()
               + self.align_a.parameters() + self.reconstructor.parameters()
               + self.context.parameters() + self.cross_attn.parameters()
-              + self.head.parameters())
-        ps += self.latent.parameters()
+              + self.head.parameters() + self.latent.parameters())
         return unique_parameters(ps)
-
-    def _apply_latent(self, q_f):
-        if self._latent_is_streams:
-            for b in self.latent.streams["t"]:
-                q_f = b(q_f)
-            return q_f
-        return self.latent(q_f)
 
     def forward(self, x_t, x_v, x_a, x_t_clean=None, p_t=None):
         """Run the model on one sample.
@@ -194,7 +181,7 @@ class TextFusionModel:
 
         c_t, c_v, c_a = self.context(h_t, e_v, e_a)
         q_f = text_query(self.cross_attn, c_t, c_v, c_a)
-        f_z = self._apply_latent(q_f)
+        f_z = self.latent(q_f)
         y_hat = self.head(f_z)
         return y_hat, rec
 
@@ -214,6 +201,9 @@ class TextFusionModel:
             raise ValueError(
                 f"checkpoint has {len(named)} tensors, model has {len(params)}")
         for p, (name, arr) in zip(params, named):
+            if name != p.name:
+                raise ValueError(
+                    f"name mismatch: checkpoint {name!r}, model {p.name!r}")
             if p.data.shape != arr.shape:
                 raise ValueError(
                     f"shape mismatch for {p.name}: checkpoint {arr.shape}, "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, _count_macs, _record, add, concat_time, div, exp,
+    Parameter, Tensor, _count_macs, _record, add, concat, div, exp,
     flip_time, layer_norm, matmul, mul, neg, reshape, silu, slicer, softplus,
     sub, sum_,
 )
@@ -68,8 +68,10 @@ def _scan_forward_sequential(a, b):
     h[0] = b[0]
     for t in range(1, a.shape[0]):
         h[t] = a[t] * h[t - 1] + b[t]
-        if not np.all(np.isfinite(h[t])):
-            raise FloatingPointError(f"recurrence diverged at timestep {t}")
+    finite = np.isfinite(h).reshape(len(h), -1).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"recurrence diverged at timestep {int(np.argmin(finite))}")
     return h
 
 
@@ -88,29 +90,11 @@ def _scan_forward_parallel(a, b):
     return h
 
 
-def _scan_adjoint_sequential(a, h, g):
-    # lam_t = g_t + a_{t+1} * lam_{t+1}; db = lam; da_t = lam_t * h_{t-1}
-    lam = np.empty_like(g)
-    lam[-1] = g[-1]
-    for t in range(a.shape[0] - 2, -1, -1):
-        lam[t] = g[t] + a[t + 1] * lam[t + 1]
-    da = np.zeros_like(a)
-    da[1:] = lam[1:] * h[:-1]
-    return da, lam
-
-
-def _scan_adjoint_parallel(a, h, g):
-    # Same adjoint recurrence evaluated as a reversed doubling-stride sweep.
+def _scan_adjoint(a, h, g, sweep):
+    # lam_t = g_t + a_{t+1} * lam_{t+1} is the forward sweep run backward in
+    # time over the shifted transitions; db = lam; da_t = lam_t * h_{t-1}
     a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
-    lam = g[::-1].copy()
-    aa = a_rev.copy()
-    length = a.shape[0]
-    d = 1
-    while d < length:
-        lam[d:] = aa[d:] * lam[:-d] + lam[d:]
-        aa[d:] = aa[d:] * aa[:-d]
-        d *= 2
-    lam = lam[::-1].copy()
+    lam = sweep(a_rev, g[::-1])[::-1].copy()
     da = np.zeros_like(a)
     da[1:] = lam[1:] * h[:-1]
     return da, lam
@@ -123,22 +107,21 @@ def _linear_recurrence(a_bar, bx, mode):
     length = a_bar.shape[0]
     per_step = int(np.prod(a_bar.shape[1:]))
     if mode == "recurrent":
-        h_data = _scan_forward_sequential(a_bar.data, bx.data)
+        sweep = _scan_forward_sequential
         _count_macs((length - 1) * per_step)
     else:
-        h_data = _scan_forward_parallel(a_bar.data, bx.data)
+        sweep = _scan_forward_parallel
         levels = 0
         d = 1
         while d < length:
             levels += 1
             d *= 2
         _count_macs(2 * length * per_step * levels)
+    h_data = sweep(a_bar.data, bx.data)
     out = Tensor(h_data)
 
     def bwd(g):
-        adjoint = _scan_adjoint_sequential if mode == "recurrent" \
-            else _scan_adjoint_parallel
-        return adjoint(a_bar.data, h_data, g)
+        return _scan_adjoint(a_bar.data, h_data, g, sweep)
 
     _record(out, (a_bar, bx), bwd)
     return out
@@ -335,7 +318,8 @@ def depthwise_conv_causal(u, weight, bias):
             shifted = Tensor(np.zeros((length, channels)))
         else:
             pad = Tensor(np.zeros((k, channels)))
-            shifted = concat_time([pad, slicer(u, (slice(0, length - k),))])
+            shifted = concat([pad, slicer(u, (slice(0, length - k),))],
+                             axis=0)
         term = mul(shifted, wk)
         acc = term if acc is None else add(acc, term)
     return add(acc, bias)

@@ -12,9 +12,7 @@ still differs per stream because the step size is input-dependent.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .autodiff import Parameter, add, mul, Tensor
+from .autodiff import Tensor, add, mul
 from .ssm import BiMamba
 
 
@@ -24,22 +22,19 @@ class SharedTransitionPair:
     Sharing is structural: both streams' forward (and backward) SSMs hold
     the same Parameter objects for the state matrix, so gradients from
     either stream accumulate into one storage and an optimizer step keeps
-    the values bitwise identical across streams.
+    the values bitwise identical across streams. ``block`` holds the
+    keyword arguments of ``BiMamba`` that both streams are built with.
     """
 
-    def __init__(self, d_model, state_dim, rng, expansion=2, conv_width=4,
-                 scan_mode="parallel", share=True, name="pair"):
-        self.share = share
-        self.text = BiMamba(d_model, state_dim, rng, expansion=expansion,
-                            conv_width=conv_width, scan_mode=scan_mode,
-                            name=f"{name}.text")
-        shared_f = self.text.fwd.a_log if share else None
-        shared_b = self.text.bwd.a_log if share else None
-        self.partner = BiMamba(d_model, state_dim, rng, expansion=expansion,
-                               conv_width=conv_width, scan_mode=scan_mode,
-                               shared_a_log=shared_f,
-                               shared_a_log_backward=shared_b,
-                               name=f"{name}.partner")
+    def __init__(self, d_model, state_dim, rng, share=True, name="pair",
+                 **block):
+        self.text = BiMamba(d_model, state_dim, rng, name=f"{name}.text",
+                            **block)
+        self.partner = BiMamba(
+            d_model, state_dim, rng,
+            shared_a_log=self.text.fwd.a_log if share else None,
+            shared_a_log_backward=self.text.bwd.a_log if share else None,
+            name=f"{name}.partner", **block)
 
     def parameters(self):
         return self.text.parameters() + self.partner.parameters()
@@ -49,20 +44,16 @@ class SharedTransitionPair:
 
 
 class TcBlock:
-    """One context block: a text<->visual pair and a text<->audio pair."""
+    """One context block: a text<->visual pair and a text<->audio pair.
 
-    def __init__(self, d_model, state_dim, rng, expansion=2, conv_width=4,
-                 scan_mode="parallel", share=True, name="tc"):
+    ``pair`` holds the keyword arguments of ``SharedTransitionPair``.
+    """
+
+    def __init__(self, d_model, state_dim, rng, name="tc", **pair):
         self.tv = SharedTransitionPair(d_model, state_dim, rng,
-                                       expansion=expansion,
-                                       conv_width=conv_width,
-                                       scan_mode=scan_mode, share=share,
-                                       name=f"{name}.tv")
+                                       name=f"{name}.tv", **pair)
         self.ta = SharedTransitionPair(d_model, state_dim, rng,
-                                       expansion=expansion,
-                                       conv_width=conv_width,
-                                       scan_mode=scan_mode, share=share,
-                                       name=f"{name}.ta")
+                                       name=f"{name}.ta", **pair)
 
     def parameters(self):
         return self.tv.parameters() + self.ta.parameters()
@@ -80,16 +71,12 @@ class TcBlock:
 class TcStack:
     """Depth-stacked context blocks, each with its own parameters."""
 
-    def __init__(self, depth, d_model, state_dim, rng, expansion=2,
-                 conv_width=4, scan_mode="parallel", share=True, name="tc"):
+    def __init__(self, depth, d_model, state_dim, rng, name="tc", **pair):
         if depth < 1:
             raise ValueError("context stack depth must be >= 1")
-        self.blocks = [
-            TcBlock(d_model, state_dim, rng, expansion=expansion,
-                    conv_width=conv_width, scan_mode=scan_mode, share=share,
-                    name=f"{name}{i}")
-            for i in range(depth)
-        ]
+        self.blocks = [TcBlock(d_model, state_dim, rng, name=f"{name}{i}",
+                               **pair)
+                       for i in range(depth)]
 
     def parameters(self):
         return [p for b in self.blocks for p in b.parameters()]

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, add, div, l2_normalize_lastdim, matmul, mul, mean_,
-    relu, softmax_lastdim, sum_, transpose,
+    Parameter, Tensor, add, div, l2_normalize_lastdim, matmul, mul, relu,
+    softmax_lastdim, sum_, transpose,
 )
 
 

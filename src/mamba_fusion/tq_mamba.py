@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, add, concat, concat_time, div, layer_norm, matmul,
-    max_over_time, mul, reshape, slicer, softmax_lastdim, transpose,
+    Parameter, Tensor, add, concat, div, layer_norm, matmul, max_over_time,
+    reshape, slicer, softmax_lastdim, transpose,
 )
-from .ssm import BiMamba
 
 
 class CrossAttention:
@@ -42,22 +41,26 @@ class CrossAttention:
         return [self.norm_gamma, self.norm_beta,
                 self.w_q, self.w_k, self.w_v, self.w_o, self.b_o]
 
-    def attend(self, query, keyvalue):
-        """Attention output before the residual connection."""
+    def _heads(self, query, keyvalue):
+        """Yield each head's row-stochastic attention matrix and values."""
         qn = layer_norm(query, self.norm_gamma, self.norm_beta)
         q = matmul(qn, self.w_q)
         k = matmul(keyvalue, self.w_k)
         v = matmul(keyvalue, self.w_v)
         scale = Tensor(np.sqrt(float(self.head_dim)))
-        outs = []
         for h in range(self.heads):
-            cols = slice(h * self.head_dim, (h + 1) * self.head_dim)
-            qh = slicer(q, (slice(None), cols))
-            kh = slicer(k, (slice(None), cols))
-            vh = slicer(v, (slice(None), cols))
-            weights = softmax_lastdim(div(matmul(qh, transpose(kh)), scale))
-            outs.append(matmul(weights, vh))
-        merged = concat(outs, axis=1)
+            cols = (slice(None), slice(h * self.head_dim,
+                                       (h + 1) * self.head_dim))
+            qh = slicer(q, cols)
+            kh = slicer(k, cols)
+            vh = slicer(v, cols)
+            yield softmax_lastdim(div(matmul(qh, transpose(kh)), scale)), vh
+
+    def attend(self, query, keyvalue):
+        """Attention output before the residual connection."""
+        merged = concat([matmul(weights, vh)
+                         for weights, vh in self._heads(query, keyvalue)],
+                        axis=1)
         return add(matmul(merged, self.w_o), self.b_o)
 
     def __call__(self, query, keyvalue):
@@ -65,17 +68,7 @@ class CrossAttention:
 
     def attention_weights(self, query, keyvalue):
         """Per-head row-stochastic attention matrices (diagnostic path)."""
-        qn = layer_norm(query, self.norm_gamma, self.norm_beta)
-        q = matmul(qn, self.w_q)
-        k = matmul(keyvalue, self.w_k)
-        scale = Tensor(np.sqrt(float(self.head_dim)))
-        ws = []
-        for h in range(self.heads):
-            cols = slice(h * self.head_dim, (h + 1) * self.head_dim)
-            qh = slicer(q, (slice(None), cols))
-            kh = slicer(k, (slice(None), cols))
-            ws.append(softmax_lastdim(div(matmul(qh, transpose(kh)), scale)))
-        return ws
+        return [weights for weights, _ in self._heads(query, keyvalue)]
 
 
 def text_query(attn, c_t, c_v, c_a):
@@ -83,20 +76,15 @@ def text_query(attn, c_t, c_v, c_a):
     if not (c_t.shape == c_v.shape == c_a.shape):
         raise ValueError(
             f"text_query: shape mismatch {c_t.shape} {c_v.shape} {c_a.shape}")
-    return attn(c_t, concat_time([c_v, c_a]))
+    return attn(c_t, concat([c_v, c_a], axis=0))
 
 
 class LatentStack:
-    """Latent bidirectional blocks applied after the text query."""
+    """Blocks applied in sequence after the text query: bidirectional scan
+    blocks, or self-attention blocks in the attention-substituted variant."""
 
-    def __init__(self, depth, d_model, state_dim, rng, expansion=2,
-                 conv_width=4, scan_mode="parallel", name="tq"):
-        self.blocks = [
-            BiMamba(d_model, state_dim, rng, expansion=expansion,
-                    conv_width=conv_width, scan_mode=scan_mode,
-                    name=f"{name}{i}")
-            for i in range(depth)
-        ]
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
 
     def parameters(self):
         return [p for b in self.blocks for p in b.parameters()]

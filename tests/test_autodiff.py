@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamba_fusion.autodiff import (
-    Parameter, Tape, Tensor, add, backward, concat_time, div, exp,
-    finite_difference_check, flip_time, forward_primitive, l2_normalize_lastdim,
-    layer_norm, matmul, max_over_time, mean_, mul, neg, no_grad, relu, reshape,
+    Parameter, Tape, Tensor, add, backward, concat, div, exp,
+    finite_difference_check, flip_time, l2_normalize_lastdim, layer_norm,
+    matmul, max_over_time, mean_, mul, neg, no_grad, relu, reshape,
     sigmoid, silu, slicer, softmax_lastdim, softplus, sub, sum_, transpose,
 )
 
@@ -44,21 +44,6 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(4, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
-def test_forward_primitive_dispatch():
-    out = forward_primitive("exp", Tensor([[0.0]]))
-    assert out.data.tolist() == [[1.0]]
-
-
-def test_forward_primitive_unknown_kind():
-    with pytest.raises(ValueError, match="unknown primitive"):
-        forward_primitive("conv3d", Tensor([1.0]))
-
-
-def test_forward_primitive_rejects_non_finite_input():
-    with pytest.raises(FloatingPointError):
-        forward_primitive("exp", Tensor([np.nan]))
 
 
 def test_div_by_zero_raises():
@@ -245,7 +230,7 @@ def test_concat_time_gradient_routes_to_pieces():
     b = Parameter([[3.0, 4.0], [5.0, 6.0]], name="b")
     w = Tensor([[1.0, 10.0], [100.0, 1000.0], [2.0, 20.0]])
     with Tape():
-        backward(sum_(mul(concat_time([a, b]), w)))
+        backward(sum_(mul(concat([a, b], axis=0), w)))
     np.testing.assert_array_equal(a.grad, [[1.0, 10.0]])
     np.testing.assert_array_equal(b.grad, [[100.0, 1000.0], [2.0, 20.0]])
 

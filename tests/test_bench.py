@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import MacCounter, Tensor
+from mamba_fusion.autodiff import MacCounter, Tensor, no_grad
 from mamba_fusion.bench import (
     CONVENTION, cost_report, count_params, macs_attention,
     macs_attention_interaction, macs_bimamba, macs_selective_scan, model_macs,
@@ -42,6 +42,22 @@ def test_bimamba_macs_match_instrumented_count(cfg):
     with MacCounter() as counter:
         block(x)
     assert counter.macs == macs_bimamba(length, d_model, expansion, state_dim)
+
+
+@pytest.mark.parametrize("preset", ["desk", "sims"])
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_model_macs_match_instrumented_forward(preset, use_attention):
+    model = build_model(preset, seed=0, use_attention=use_attention)
+    c = model.config
+    rng = np.random.default_rng(2)
+    x_t = rng.standard_normal((c.t_text, c.d_text))
+    x_v = rng.standard_normal((c.t_visual, c.d_visual))
+    x_a = rng.standard_normal((c.t_audio, c.d_audio))
+    with no_grad(), MacCounter() as counter:
+        model.forward(x_t, x_v, x_a)
+    # without clean text the reconstructor does not run
+    expected = model_macs(c, mode=c.scan_mode)
+    assert counter.macs == expected["total"] - expected["reconstruct"]
 
 
 # ---------------------------------------------------------------------------

@@ -177,3 +177,52 @@ def test_checkpoint_round_trip_preserves_predictions(workspace):
     p2 = load_checkpoint(workspace / "run" / "checkpoint").predict(
         s.x_t, s.x_v, s.x_a)
     assert p1 == p2
+
+
+def _edit_manifest(directory, old, new):
+    manifest = Path(directory) / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("tensor_count ", "# tensor_count ", "tensor_count"),
+    ("config_d_model 32", "config_d_model 3x2", "config_d_model"),
+])
+def test_bad_checkpoint_manifest_is_io_error(tmp_path, capsys, old, new, key):
+    from mamba_fusion.cli import save_checkpoint
+    from mamba_fusion.model import build_model
+    save_checkpoint(build_model("desk", seed=0), tmp_path / "ckpt")
+    _edit_manifest(tmp_path / "ckpt", old, new)
+    code = main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
+                 "--n", "8", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert key in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("shape_text 16x32", "shape_text 16", "shape_text"),
+    ("n_samples 24", "n_samples 25", "n_samples"),
+])
+def test_bad_dataset_manifest_is_io_error(workspace, tmp_path, capsys, old,
+                                          new, key):
+    import shutil
+    shutil.copytree(workspace / "data", tmp_path / "data")
+    _edit_manifest(tmp_path / "data", old, new)
+    code = main(["eval", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert key in err and len(err.strip().splitlines()) == 1
+
+
+def test_checkpoint_with_renamed_tensor_is_rejected(tmp_path):
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    save_checkpoint(build_model("desk", seed=0), tmp_path / "ckpt")
+    _edit_manifest(tmp_path / "ckpt", "tensor_0 align_t.w:",
+                   "tensor_0 align_v.w:")
+    with pytest.raises(ValueError, match="name mismatch.*align_v.w"):
+        load_checkpoint(tmp_path / "ckpt")

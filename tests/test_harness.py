@@ -7,8 +7,8 @@ from mamba_fusion.autodiff import Parameter, Tensor, finite_difference_check
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
     SWEEP_RATES, CorruptionConfig, MetricsReport, corrupt_batch,
-    corrupt_sample, evaluate_sweep, metrics, pearson, task_loss,
-    task_loss_tensor, total_loss,
+    corrupt_sample, evaluate_sweep, metrics, pearson, task_loss_tensor,
+    total_loss,
 )
 
 
@@ -127,16 +127,6 @@ def test_clean_text_is_carried_alongside(dataset):
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-
-def test_task_loss_values():
-    assert task_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert task_loss([1.0, 2.0], [2.0, 4.0]) == 2.5
-
-
-def test_task_loss_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        task_loss([1.0], [1.0, 2.0])
-
 
 def test_task_loss_gradient_is_two_diff_over_n():
     preds = [Parameter(np.asarray(v), name=f"p{i}")

@@ -5,8 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import no_grad
+from mamba_fusion.autodiff import Tape, backward, no_grad
+from mamba_fusion.datagen import generate
+from mamba_fusion.harness import (
+    CorruptionConfig, corrupt_batch, task_loss_tensor,
+)
 from mamba_fusion.model import ModelConfig, PRESETS, TextFusionModel, build_model
+from mamba_fusion.training import _batch_loss
 
 
 def test_presets_cover_the_published_configurations():
@@ -102,6 +107,29 @@ def test_parameters_are_unique_objects():
     model = build_model("desk", seed=0)
     params = model.parameters()
     assert len({id(p) for p in params}) == len(params)
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_every_parameter_receives_a_gradient(use_attention):
+    model = build_model("desk", seed=0, use_attention=use_attention)
+    ds = generate(8, seed=1)
+    batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
+                          ds.unknown_text_vector)
+    recon = {id(p) for p in model.reconstructor.parameters()}
+    for clean_text in (True, False):
+        for p in model.parameters():
+            p.zero_grad()
+        with Tape():
+            if clean_text:
+                loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
+            else:
+                loss = task_loss_tensor(
+                    [model.forward(cs.x_t, cs.x_v, cs.x_a)[0]
+                     for cs in batch], [cs.y for cs in batch])
+            backward(loss)
+        idle = [p.name for p in model.parameters() if not np.any(p.grad)
+                and (clean_text or id(p) not in recon)]
+        assert idle == []
 
 
 def test_state_round_trip_and_shape_check():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mamba_fusion.autodiff import Tensor, no_grad
+from mamba_fusion.ssm import BiMamba
 from mamba_fusion.tq_mamba import (
     CrossAttention, FusionHead, LatentStack, text_query,
 )
@@ -108,7 +109,9 @@ def test_text_query_rejects_shape_mismatch():
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_latent_stack_preserves_shape(depth):
-    stack = LatentStack(depth, 6, 3, np.random.default_rng(6), expansion=1)
+    rng = np.random.default_rng(6)
+    stack = LatentStack(BiMamba(6, 3, rng, expansion=1, name=f"tq{i}")
+                        for i in range(depth))
     x = Tensor(np.random.default_rng(7).standard_normal((5, 6)))
     out = stack(x)
     assert out.shape == (5, 6)
