@@ -134,8 +134,9 @@ def wallclock(fn, reps=30, warmup=3):
 # Report
 # ---------------------------------------------------------------------------
 
-def cost_report(model, length=None, mode="recurrent", timing=None):
-    breakdown = model_macs(model.config, length=length, mode=mode)
+def cost_report(model, length=None, timing=None):
+    breakdown = model_macs(model.config, length=length,
+                           mode=model.config.scan_mode)
     report = {
         "convention": CONVENTION,
         "parameters": count_params(model),

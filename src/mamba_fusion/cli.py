@@ -24,12 +24,14 @@ from .model import PRESETS, ModelConfig, TextFusionModel
 from .training import TrainConfig
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(name, value, fields, section):
@@ -39,7 +41,12 @@ def _coerce(name, value, fields, section):
             f"{', '.join(sorted(fields))}")
     current = fields[name]
     if current in ("bool", bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        word = value.lower()
+        if word not in _BOOL_WORDS:
+            raise UsageError(
+                f"{section}.{name}: {value!r} is not a boolean; use one of "
+                f"{', '.join(_BOOL_WORDS)}")
+        return _BOOL_WORDS[word]
     if current in ("int", int):
         return int(value)
     if current in ("float", float):
@@ -111,7 +118,11 @@ def load_checkpoint(directory, seed=0):
               manifest, f"config_{name}",
               lambda v: _coerce(name, v, _MODEL_FIELDS, "model"))
           for name in _MODEL_FIELDS if f"config_{name}" in manifest}
-    model = TextFusionModel(ModelConfig(**kw), seed=seed)
+    try:
+        config = ModelConfig(**kw)
+    except ValueError as e:
+        raise container.ContainerError(f"checkpoint config: {e}") from None
+    model = TextFusionModel(config, seed=seed)
     model.load_state_arrays(named)
     return model
 
@@ -310,7 +321,7 @@ def main(argv=None):
         if args.command == "train" and args.seed is None:
             args.seed = 0
         return args.fn(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except FloatingPointError as e:

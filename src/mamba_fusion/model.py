@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, unique_parameters
-from .ssm import BiMamba
+from .ssm import SCAN_MODES, BiMamba
 from .tc_mamba import TcStack
 from .tme import Aligner, TextReconstructor, enhance, recon_loss, \
     threshold_mask, token_similarity
@@ -54,6 +54,9 @@ class ModelConfig:
             raise ValueError("aligned length must equal the text length")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
+        if self.scan_mode not in SCAN_MODES:
+            raise ValueError(f"unknown scan_mode {self.scan_mode!r}; "
+                             f"choose from {', '.join(SCAN_MODES)}")
 
 
 # Table-style presets; the desk preset is the default test scale.

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, _count_macs, _record, add, concat, div, exp,
-    flip_time, layer_norm, matmul, mul, neg, reshape, silu, slicer, softplus,
-    sub, sum_,
+    Parameter, Tensor, _check_finite, _count_macs, _record, _sigmoid_np, add,
+    flip_time, layer_norm, matmul, mul, no_grad, silu, slicer,
 )
 
 
@@ -30,23 +29,33 @@ def _uniform(rng, shape, scale):
 # Discretization
 # ---------------------------------------------------------------------------
 
+def _zoh(a, delta):
+    """Exact zero-order hold for a diagonal state matrix, in numpy.
+
+    Returns a_bar = exp(delta*a) and q = (a_bar - 1)/a, so that
+    b_bar = q*b. a must be elementwise negative, delta elementwise
+    positive; shapes broadcast.
+    """
+    if np.any(a >= 0):
+        raise ValueError("discretize: state matrix must be strictly negative")
+    if np.any(delta <= 0):
+        raise ValueError("discretize: step size must be strictly positive")
+    a_bar = np.exp(delta * a)
+    q = a_bar - 1.0
+    q /= a
+    return a_bar, q
+
+
 def discretize(a, b, delta):
     """Exact zero-order-hold discretization for a diagonal state matrix.
 
     a must be elementwise negative, delta elementwise positive; shapes
-    broadcast. Returns (a_bar, b_bar) with a_bar = exp(delta*a) in (0, 1)
-    and b_bar = ((exp(delta*a) - 1)/a) * b.
+    broadcast. Returns constant Tensors (a_bar, b_bar) with
+    a_bar = exp(delta*a) in (0, 1) and b_bar = ((exp(delta*a) - 1)/a) * b.
     """
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    delta = delta if isinstance(delta, Tensor) else Tensor(delta)
-    if np.any(a.data >= 0):
-        raise ValueError("discretize: state matrix must be strictly negative")
-    if np.any(delta.data <= 0):
-        raise ValueError("discretize: step size must be strictly positive")
-    a_bar = exp(mul(delta, a))
-    b_bar = mul(div(sub(a_bar, Tensor(1.0)), a), b)
-    return a_bar, b_bar
+    a_bar, q = _zoh(np.asarray(a, dtype=np.float64),
+                    np.asarray(delta, dtype=np.float64))
+    return Tensor(a_bar), Tensor(q * np.asarray(b, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +84,36 @@ def _scan_forward_sequential(a, b):
     return h
 
 
+# Bytes of one (L, columns) slab of the parallel sweep. Each slab is copied
+# out, swept through every level while it stays in cache, and copied back,
+# instead of streaming the whole (L, C, N) arrays once per level.
+SWEEP_BLOCK_BYTES = 256 * 1024
+
+
 def _scan_forward_parallel(a, b):
-    # Doubling-stride inclusive sweep: ceil(log2 L) full-width passes.
-    aa = a.copy()
-    h = b.copy()
+    # Doubling-stride inclusive sweep: ceil(log2 L) passes per column slab.
+    # The level of stride d reads only the transitions t >= d, so it forms
+    # the next level's products for t >= 2d only, into the other buffer.
     length = a.shape[0]
-    d = 1
-    while d < length:
-        h[d:] = aa[d:] * h[:-d] + h[d:]
-        aa[d:] = aa[d:] * aa[:-d]
-        d *= 2
-    if not np.all(np.isfinite(h)):
-        raise FloatingPointError("recurrence diverged (parallel scan)")
+    h = np.empty(b.shape, b.dtype)
+    a2, b2, h2 = (x.reshape(length, -1) for x in (a, b, h))
+    width = max(1, SWEEP_BLOCK_BYTES // (length * h.itemsize))
+    for j in range(0, h2.shape[1], width):
+        aa = a2[:, j:j + width].copy()
+        hb = b2[:, j:j + width].copy()
+        nxt = np.empty_like(aa)
+        tmp = np.empty_like(hb)
+        d = 1
+        while d < length:
+            np.multiply(aa[d:], hb[:-d], out=tmp[d:])
+            hb[d:] += tmp[d:]
+            if 2 * d < length:
+                np.multiply(aa[2 * d:], aa[d:-d], out=nxt[2 * d:])
+                aa, nxt = nxt, aa
+            d *= 2
+        if not np.all(np.isfinite(hb)):
+            raise FloatingPointError("recurrence diverged (parallel scan)")
+        h2[:, j:j + width] = hb
     return h
 
 
@@ -183,25 +210,75 @@ class SSMParams:
         return [self.w_delta, self.b_delta, self.w_b, self.w_c, self.d_skip]
 
 
+# Evaluation orders of the selective scan (BiMamba's scan_mode).
+SCAN_MODES = ("recurrent", "parallel")
+
+
 def _selective_scan(u, params, mode):
-    length, channels = u.shape
-    n = params.state_dim
-    delta = softplus(add(matmul(u, params.w_delta), params.b_delta))
-    b_sel = matmul(u, params.w_b)
-    c_sel = matmul(u, params.w_c)
-    a = neg(exp(params.a_log))
-    a_bar, b_bar = discretize(reshape(a, (1, channels, n)),
-                              reshape(b_sel, (length, 1, n)),
-                              reshape(delta, (length, channels, 1)))
-    bx = mul(b_bar, reshape(u, (length, channels, 1)))
+    """One selective-scan direction over u (L, C) as a single tape node.
+
+    The forward runs the float operations of the primitive composition
+    softplus -> ZOH -> B_bar*u -> recurrence -> C readout + D skip in the
+    same order. Backward keeps only u, the step-size logits, B, C and the
+    states h, and recomputes exp(delta*A) and (exp(delta*A) - 1)/A (the
+    recomputation of Mamba, Gu & Dao 2023, section 3.3).
+    """
     if mode == "recurrent":
-        h = linear_recurrence_sequential(a_bar, bx)
+        recurrence, sweep = linear_recurrence_sequential, \
+            _scan_forward_sequential
     elif mode == "parallel":
-        h = linear_recurrence_parallel(a_bar, bx)
+        recurrence, sweep = linear_recurrence_parallel, _scan_forward_parallel
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
-    y = sum_(mul(h, reshape(c_sel, (length, 1, n))), axis=2)
-    return add(y, mul(u, params.d_skip))
+    x = u.data
+    channels = x.shape[1]
+    n = params.state_dim
+    w_delta, b_delta = params.w_delta.data, params.b_delta.data
+    w_b, w_c, d_skip = params.w_b.data, params.w_c.data, params.d_skip.data
+    _count_macs(x.size * channels + 2 * x.size * n)
+    z = x @ w_delta + b_delta
+    b_sel = x @ w_b
+    c_sel = x @ w_c
+    delta = np.logaddexp(0.0, z)[:, :, None]
+    a_log = params.a_log.data
+    a_bar, bx = _zoh(-np.exp(a_log), delta)
+    bx *= b_sel[:, None, :]
+    bx *= x[:, :, None]
+    _count_macs(4 * bx.size)
+    with no_grad():
+        h = recurrence(Tensor(a_bar), Tensor(bx)).data
+    del a_bar, bx
+    _count_macs(h.size + x.size)
+    out = Tensor((h * c_sel[:, None, :]).sum(axis=2) + x * d_skip)
+    _check_finite("selective_scan", out.data)
+
+    def bwd(g):
+        a = -np.exp(a_log)
+        delta = np.logaddexp(0.0, z)
+        a_bar, q = _zoh(a, delta[:, :, None])
+        da_bar, lam = _scan_adjoint(a_bar, h, g[:, :, None] * c_sel[:, None, :],
+                                    sweep)
+        # bx = q * B * u
+        lam_q = lam * q
+        du = g * d_skip + np.matmul(lam_q, b_sel[:, :, None])[:, :, 0]
+        db = np.matmul(x[:, None, :], lam_q)[:, 0, :]
+        # dq = lam * B * u; q = (a_bar - 1)/a; a_bar = exp(delta * a)
+        lam *= b_sel[:, None, :]
+        lam *= x[:, :, None]
+        lam /= a
+        da = -np.einsum("lcn,lcn->cn", lam, q)
+        da_bar += lam
+        da_bar *= a_bar
+        da += np.einsum("lcn,lc->cn", da_bar, delta)
+        dz = np.einsum("lcn,cn->lc", da_bar, a) * _sigmoid_np(z)
+        dc = np.matmul(g[:, None, :], h)[:, 0, :]
+        du += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
+        return (du, x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc, da * a,
+                (g * x).sum(axis=0))
+
+    _record(out, (u, params.w_delta, params.b_delta, params.w_b, params.w_c,
+                  params.a_log, params.d_skip), bwd)
+    return out
 
 
 def scan_recurrent(x, params):
@@ -305,24 +382,36 @@ def _lti_scan(x, params, mode):
 # ---------------------------------------------------------------------------
 
 def depthwise_conv_causal(u, weight, bias):
-    """Per-channel causal convolution over time. weight is (K, C)."""
-    length = u.shape[0]
-    channels = u.shape[1]
-    width = weight.shape[0]
-    acc = None
-    for k in range(width):
-        wk = slicer(weight, (slice(k, k + 1),))
-        if k == 0:
-            shifted = u
-        elif k >= length:
-            shifted = Tensor(np.zeros((length, channels)))
-        else:
-            pad = Tensor(np.zeros((k, channels)))
-            shifted = concat([pad, slicer(u, (slice(0, length - k),))],
-                             axis=0)
-        term = mul(shifted, wk)
-        acc = term if acc is None else add(acc, term)
-    return add(acc, bias)
+    """Per-channel causal convolution over time as one tape node.
+
+    weight is (K, C); out_t = sum_k weight_k * u_{t-k} + bias, accumulated
+    in order k = 0..K-1 over the zero-padded shifted input.
+    """
+    x = u.data
+    w = weight.data
+    length = x.shape[0]
+    acc = x * w[0]
+    shifted = np.zeros_like(x)
+    for k in range(1, w.shape[0]):
+        if k < length:
+            shifted[k:] = x[:length - k]
+        shifted[:k] = 0.0
+        acc += shifted * w[k]
+    _count_macs(w.shape[0] * x.size)
+    out = Tensor(acc + bias.data)
+    _check_finite("depthwise_conv_causal", out.data)
+
+    def bwd(g):
+        dx = g * w[0]
+        dw = np.zeros_like(w)
+        dw[0] = (x * g).sum(axis=0)
+        for k in range(1, min(w.shape[0], length)):
+            dx[:length - k] += g[k:] * w[k]
+            dw[k] = (x[:length - k] * g[k:]).sum(axis=0)
+        return dx, dw, g.sum(axis=0)
+
+    _record(out, (u, weight, bias), bwd)
+    return out
 
 
 class BiMamba:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mamba_fusion.bench import model_macs
 from mamba_fusion.cli import load_config, main
 from mamba_fusion.model import PRESETS
 
@@ -64,6 +65,26 @@ def test_unknown_key_is_a_usage_error(tmp_path, capsys):
     code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "valid keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,word", [
+    ("model.enhancement=flase", "flase"),
+    ("model.scan_mode=paralel", "paralel"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, setting, word):
+    code = main(["bench", "--set", setting, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert word in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("word,value", [("OFF", False), ("0", False),
+                                        ("No", False), ("TRUE", True),
+                                        ("on", True), ("1", True)])
+def test_boolean_words_in_any_case(word, value):
+    model_cfg, _ = load_config(None, "desk", [f"model.enhancement={word}"])
+    assert model_cfg.enhancement is value
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -161,6 +182,16 @@ def test_bench_reports_convention_and_totals(workspace, capsys):
     assert report["wallclock"]["reps"] == 5
 
 
+@pytest.mark.parametrize("scan_mode", ["parallel", "recurrent"])
+def test_bench_counts_the_configured_scan_mode(tmp_path, scan_mode):
+    code = main(["bench", "--set", f"model.scan_mode={scan_mode}",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "cost_report.json").read_text())
+    cfg, _ = load_config(None, "desk", [f"model.scan_mode={scan_mode}"])
+    assert report["macs"] == model_macs(cfg, mode=cfg.scan_mode)
+
+
 def test_gradcheck_passes_on_default_model(workspace, capsys):
     code = main(["gradcheck", "--per-coordinate", "2", "--seed", "1"])
     assert code == 0
@@ -189,6 +220,9 @@ def _edit_manifest(directory, old, new):
 @pytest.mark.parametrize("old,new,key", [
     ("tensor_count ", "# tensor_count ", "tensor_count"),
     ("config_d_model 32", "config_d_model 3x2", "config_d_model"),
+    ("config_enhancement True", "config_enhancement Ture",
+     "config_enhancement"),
+    ("config_scan_mode parallel", "config_scan_mode paralel", "scan_mode"),
 ])
 def test_bad_checkpoint_manifest_is_io_error(tmp_path, capsys, old, new, key):
     from mamba_fusion.cli import save_checkpoint

@@ -3,15 +3,67 @@
 import numpy as np
 import pytest
 
+import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
-    flip_time, mul, sum_,
+    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div, exp,
+    finite_difference_check, flip_time, matmul, mul, neg, reshape, slicer,
+    softplus, sub, sum_,
 )
+from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, LTIParams, SSMParams, _selective_scan, combine, discretize,
-    linear_recurrence_parallel, linear_recurrence_sequential, scan_kernel,
-    scan_parallel, scan_recurrent,
+    BiMamba, LTIParams, SSMParams, _scan_forward_parallel, _selective_scan,
+    combine, depthwise_conv_causal, discretize, linear_recurrence_parallel,
+    linear_recurrence_sequential, scan_kernel, scan_parallel, scan_recurrent,
 )
+
+
+# ---------------------------------------------------------------------------
+# Tape-path oracles: the primitive compositions the fused nodes replace
+# ---------------------------------------------------------------------------
+
+def tape_selective_scan(u, params, mode):
+    length, channels = u.shape
+    n = params.state_dim
+    delta = softplus(add(matmul(u, params.w_delta), params.b_delta))
+    b_sel = matmul(u, params.w_b)
+    c_sel = matmul(u, params.w_c)
+    a = reshape(neg(exp(params.a_log)), (1, channels, n))
+    a_bar = exp(mul(reshape(delta, (length, channels, 1)), a))
+    b_bar = mul(div(sub(a_bar, Tensor(1.0)), a),
+                reshape(b_sel, (length, 1, n)))
+    bx = mul(b_bar, reshape(u, (length, channels, 1)))
+    recurrence = linear_recurrence_sequential if mode == "recurrent" \
+        else linear_recurrence_parallel
+    h = recurrence(a_bar, bx)
+    y = sum_(mul(h, reshape(c_sel, (length, 1, n))), axis=2)
+    return add(y, mul(u, params.d_skip))
+
+
+def tape_conv_causal(u, weight, bias):
+    length, channels = u.shape
+    acc = None
+    for k in range(weight.shape[0]):
+        wk = slicer(weight, (slice(k, k + 1),))
+        if k == 0:
+            shifted = u
+        elif k >= length:
+            shifted = Tensor(np.zeros((length, channels)))
+        else:
+            pad = Tensor(np.zeros((k, channels)))
+            shifted = concat([pad, slicer(u, (slice(0, length - k),))],
+                             axis=0)
+        term = mul(shifted, wk)
+        acc = term if acc is None else add(acc, term)
+    return add(acc, bias)
+
+
+def _grads_of(fn, inputs, weight):
+    """Gradients of sum(fn() * weight) with respect to every input."""
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        backward(sum_(mul(fn(), Tensor(weight))))
+    return [t.grad.copy() for t in inputs]
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +249,86 @@ def test_selective_scan_gradients_recurrent_vs_parallel():
         np.testing.assert_allclose(g_p, g_r, rtol=1e-6, atol=1e-10)
 
 
+def _scan_inputs(seed, length, channels, state_dim):
+    params, _ = _random_selective(seed, length, channels, state_dim)
+    rng = np.random.default_rng(seed + 100)
+    params.d_skip.data = rng.standard_normal(channels)
+    params.a_log.data = params.a_log.data + rng.uniform(-0.5, 0.5,
+                                                        (channels, state_dim))
+    u = Parameter(rng.standard_normal((length, channels)), name="u")
+    return params, u, rng.standard_normal((length, channels))
+
+
+SCAN_SHAPES = [(10, 6, 5), (1, 3, 2), (17, 4, 3), (33, 8, 4)]
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+@pytest.mark.parametrize("shape", SCAN_SHAPES)
+def test_fused_scan_forward_is_bitwise_the_tape_path(mode, shape):
+    params, u, _ = _scan_inputs(3, *shape)
+    np.testing.assert_array_equal(_selective_scan(u, params, mode).data,
+                                  tape_selective_scan(u, params, mode).data)
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+@pytest.mark.parametrize("shape", SCAN_SHAPES)
+def test_fused_scan_gradients_match_the_tape_path(mode, shape):
+    params, u, weight = _scan_inputs(5, *shape)
+    inputs = [u] + params.parameters()
+    fused = _grads_of(lambda: _selective_scan(u, params, mode), inputs,
+                      weight)
+    tape = _grads_of(lambda: tape_selective_scan(u, params, mode), inputs,
+                     weight)
+    for t, g_f, g_t in zip(inputs, fused, tape):
+        np.testing.assert_allclose(g_f, g_t, rtol=1e-9, err_msg=t.name)
+
+
+def test_fused_scan_counts_the_tape_paths_multiplies():
+    params, u, _ = _scan_inputs(9, 12, 5, 3)
+    for mode in ("recurrent", "parallel"):
+        counts = []
+        for fn in (_selective_scan, tape_selective_scan):
+            with MacCounter() as counter:
+                fn(u, params, mode)
+            counts.append(counter.macs)
+        assert counts[0] == counts[1]
+
+
 def test_selective_scan_gradients_match_finite_differences():
-    params, u = _random_selective(23, length=6, channels=3, state_dim=4)
+    params, u, weight = _scan_inputs(23, 6, 3, 4)
     for mode in ("recurrent", "parallel"):
         err = finite_difference_check(
-            lambda: sum_(_selective_scan(u, params, mode)),
-            params.parameters())
+            lambda: sum_(mul(_selective_scan(u, params, mode),
+                             Tensor(weight))),
+            [u] + params.parameters())
         assert err < 1e-4, f"{mode}: {err}"
+
+
+def whole_array_sweep(a, b):
+    """Doubling-stride sweep over the whole arrays, one level at a time."""
+    aa = a.copy()
+    h = b.copy()
+    d = 1
+    while d < a.shape[0]:
+        h[d:] = aa[d:] * h[:-d] + h[d:]
+        aa[d:] = aa[d:] * aa[:-d]
+        d *= 2
+    return h
+
+
+@pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (64, 4, 3),
+                                   (50, 40, 12)])
+def test_blocked_parallel_sweep_is_bitwise_the_whole_array_sweep(
+        monkeypatch, shape):
+    rng = np.random.default_rng(12)
+    a = rng.uniform(0.2, 1.0, size=shape)
+    b = rng.standard_normal(shape)
+    whole = whole_array_sweep(a, b)
+    np.testing.assert_array_equal(_scan_forward_parallel(a, b), whole)
+    # one column per slab, then a width that does not divide the columns
+    for block_bytes in (1, shape[0] * 8 * 4):
+        monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", block_bytes)
+        np.testing.assert_array_equal(_scan_forward_parallel(a, b), whole)
 
 
 def test_ssm_params_invariants():
@@ -289,6 +414,43 @@ def test_bimamba_op_count_grows_linearly_in_length():
 
     ratio = macs_at(64) / macs_at(32)
     assert 1.9 <= ratio <= 2.1
+
+
+@pytest.mark.parametrize("length,width", [(9, 4), (3, 4), (1, 4), (6, 1)])
+def test_fused_conv_matches_the_tape_path(length, width):
+    rng = np.random.default_rng(length * 10 + width)
+    u = Parameter(rng.standard_normal((length, 5)), name="u")
+    weight = Parameter(rng.standard_normal((width, 5)), name="w")
+    bias = Parameter(rng.standard_normal(5), name="b")
+    np.testing.assert_array_equal(
+        depthwise_conv_causal(u, weight, bias).data,
+        tape_conv_causal(u, weight, bias).data)
+    g = rng.standard_normal((length, 5))
+    inputs = [u, weight, bias]
+    fused = _grads_of(lambda: depthwise_conv_causal(u, weight, bias),
+                      inputs, g)
+    tape = _grads_of(lambda: tape_conv_causal(u, weight, bias), inputs, g)
+    for t, g_f, g_t in zip(inputs, fused, tape):
+        np.testing.assert_allclose(g_f, g_t, rtol=1e-9, err_msg=t.name)
+    for fn in (depthwise_conv_causal, tape_conv_causal):
+        with MacCounter() as counter:
+            fn(u, weight, bias)
+        assert counter.macs == width * length * 5
+    err = finite_difference_check(
+        lambda: sum_(mul(depthwise_conv_causal(u, weight, bias), Tensor(g))),
+        inputs)
+    assert err < 1e-4
+
+
+def test_desk_bimamba_records_19_tape_nodes():
+    # layer norm; input projection (matmul, bias, two slices); two time
+    # flips; per direction one conv, one silu and one scan node; the gate
+    # (sum, silu, product); output projection (matmul, bias); residual add
+    block = build_model("desk", seed=0).latent.blocks[0]
+    x = Tensor(np.random.default_rng(0).standard_normal((16, 32)))
+    with Tape() as tape:
+        block(x)
+    assert len(tape.records) == 19
 
 
 def test_flip_time_matches_numpy_flip():
