@@ -21,8 +21,8 @@ __all__ = [
     "finite_difference_check",
     "unique_parameters",
     "add", "sub", "mul", "div", "neg", "matmul", "exp", "softplus",
-    "sigmoid", "silu", "relu", "softmax_lastdim", "l2_normalize_lastdim",
-    "layer_norm", "flip_time", "concat", "sum_", "mean_",
+    "silu", "relu", "softmax_lastdim", "l2_normalize_lastdim",
+    "layer_norm", "flip_time", "concat", "sum_",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
 
@@ -316,16 +316,6 @@ def _sigmoid_np(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def sigmoid(a):
-    out = Tensor(_sigmoid_np(a.data))
-
-    def bwd(g):
-        return (g * out.data * (1.0 - out.data),)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def silu(a):
     s = _sigmoid_np(a.data)
     out = Tensor(a.data * s)
@@ -438,11 +428,6 @@ def sum_(a, axis=None, keepdims=False):
     return out
 
 
-def mean_(a, axis=None, keepdims=False):
-    count = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
-
-
 def max_over_time(a):
     """Per-feature maximum over axis 0; gradient routes to the first argmax."""
     idx = a.data.argmax(axis=0)
@@ -528,6 +513,8 @@ def finite_difference_check(f, params, eps=1e-5, per_coordinate=None):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if per_coordinate is not None and per_coordinate < 1:
+        raise ValueError(f"per_coordinate must be >= 1, got {per_coordinate}")
     params = unique_parameters(params)
     for p in params:
         p.zero_grad()

@@ -119,6 +119,8 @@ def model_macs(config, length=None, mode="recurrent"):
 
 def wallclock(fn, reps=30, warmup=3):
     """Median and IQR of fn() wall time over reps, warmup discarded."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     for _ in range(warmup):
         fn()
     times = []

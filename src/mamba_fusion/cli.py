@@ -63,18 +63,23 @@ def load_config(path, preset="desk", overrides=()):
     train_kw = {}
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(f"config file {path} not found")
-        if parser.has_option("model", "preset"):
-            preset = parser.get("model", "preset")
-        for section, kw, fields in (("model", model_kw, _MODEL_FIELDS),
-                                    ("train", train_kw, _TRAIN_FIELDS)):
-            if parser.has_section(section):
-                for k, v in parser.items(section):
-                    if section == "model" and k == "preset":
-                        continue
-                    kw[k] = _coerce(k, v, fields, section)
+        try:
+            read = parser.read(path)
+            if not read:
+                raise FileNotFoundError(f"config file {path} not found")
+            if parser.has_option("model", "preset"):
+                preset = parser.get("model", "preset")
+            for section, kw, fields in (("model", model_kw, _MODEL_FIELDS),
+                                        ("train", train_kw, _TRAIN_FIELDS)):
+                if parser.has_section(section):
+                    for k, v in parser.items(section):
+                        if section == "model" and k == "preset":
+                            continue
+                        kw[k] = _coerce(k, v, fields, section)
+        except configparser.Error as e:
+            # configparser messages span lines; the CLI prints one
+            raise UsageError(f"config file {path}: "
+                             f"{' '.join(str(e).split())}") from None
     for ov in overrides:
         key, _, value = ov.partition("=")
         if not value:
@@ -136,10 +141,10 @@ def _synthetic(model_cfg, n, seed):
                                          model_cfg.label_high))
 
 
-def _dataset_for(args, model_cfg):
+def _dataset_for(args, model_cfg, seed):
     if args.data:
         return datagen.load(args.data)
-    return _synthetic(model_cfg, args.n, args.seed)
+    return _synthetic(model_cfg, args.n, seed)
 
 
 def cmd_generate(args):
@@ -157,7 +162,7 @@ def cmd_train(args):
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     if args.epochs is not None:
         train_cfg = dataclasses.replace(train_cfg, epochs=args.epochs)
-    ds = _dataset_for(args, model_cfg)
+    ds = _dataset_for(args, model_cfg, train_cfg.seed)
     model = TextFusionModel(model_cfg, seed=train_cfg.seed)
     history = training.train(model, ds.split("train"), train_cfg,
                              ds.unknown_text_vector,
@@ -181,7 +186,7 @@ def cmd_eval(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
     model = load_checkpoint(args.checkpoint) if args.checkpoint \
         else TextFusionModel(model_cfg, seed=args.seed)
-    ds = _dataset_for(args, model.config)
+    ds = _dataset_for(args, model.config, args.seed)
     row = harness.evaluate_fixed(model, ds.split("test"),
                                  ds.unknown_text_vector, args.rate,
                                  seed=args.seed, scheme=_scheme(model.config))
@@ -199,7 +204,7 @@ def cmd_sweep(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
     model = load_checkpoint(args.checkpoint) if args.checkpoint \
         else TextFusionModel(model_cfg, seed=args.seed)
-    ds = _dataset_for(args, model.config)
+    ds = _dataset_for(args, model.config, args.seed)
     report = harness.evaluate_sweep(model, ds.split("test"),
                                     ds.unknown_text_vector, seed=args.seed,
                                     scheme=_scheme(model.config))
@@ -318,8 +323,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "train" and args.seed is None:
-            args.seed = 0
         return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,8 @@ uint64 and the raw little-endian payload. A directory pairs one
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from pathlib import Path
 
@@ -24,7 +26,7 @@ class ContainerError(Exception):
 
 
 class HeaderError(ContainerError):
-    """Bad magic, version, or dtype code in a tensor header."""
+    """Bad magic, version, dtype code, rank or extents in a tensor header."""
 
 
 class TruncatedPayloadError(ContainerError):
@@ -67,11 +69,19 @@ def read_tensor(fh):
         raise TruncatedPayloadError("file ended inside tensor extents")
     shape = struct.unpack(f"<{rank}Q", dims_raw)
     dtype = _DTYPES[code]
-    n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = fh.read(n_bytes)
-    if len(payload) < n_bytes:
+    # numpy refuses extents whose nonzero product overflows its index type,
+    # even when another extent is 0
+    if math.prod(max(s, 1) for s in shape) * dtype.itemsize \
+            > np.iinfo(np.intp).max:
+        raise HeaderError(f"implausible extents {shape}")
+    n_bytes = math.prod(shape) * dtype.itemsize
+    pos = fh.tell()
+    remaining = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if n_bytes > remaining:
         raise TruncatedPayloadError(
-            f"payload truncated: expected {n_bytes} bytes, got {len(payload)}")
+            f"payload truncated: expected {n_bytes} bytes, {remaining} left")
+    payload = fh.read(n_bytes)
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 

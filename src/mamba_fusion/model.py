@@ -31,7 +31,6 @@ class ModelConfig:
     tq_depth: int = 1
     heads: int = 4
     tau: float = 0.07
-    threshold_scale: float = 1.0   # similarity threshold = scale / length
     conv_width: int = 4
     scan_mode: str = "parallel"
     # raw per-modality shapes (text length must equal `length`)
@@ -166,13 +165,10 @@ class TextFusionModel:
         h_a = self.align_a(x_a)
 
         if c.enhancement:
-            # effective threshold is threshold_scale / length (0 keeps all pairs)
-            theta_len = np.inf if c.threshold_scale == 0 \
-                else c.length / c.threshold_scale
             s_vt = token_similarity(h_v, h_t, c.tau)
-            e_v = enhance(h_v, s_vt, threshold_mask(s_vt, theta_len), h_t)
+            e_v = enhance(h_v, s_vt, threshold_mask(s_vt, c.length), h_t)
             s_at = token_similarity(h_a, h_t, c.tau)
-            e_a = enhance(h_a, s_at, threshold_mask(s_at, theta_len), h_t)
+            e_a = enhance(h_a, s_at, threshold_mask(s_at, c.length), h_t)
         else:
             e_v, e_a = h_v, h_a
 

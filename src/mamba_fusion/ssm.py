@@ -1,9 +1,11 @@
 """Selective state-space machinery.
 
-Zero-order-hold discretization, three interchangeable scan strategies
-(sequential recurrence, associative parallel prefix scan, and an LTI
-convolution-kernel mode used as a cross-check), and the bidirectional
-block that every fusion stage is built from.
+Zero-order-hold discretization (``_zoh``), one numpy sweep per evaluation
+order of the linear recurrence (``SWEEPS``: step by step, or a
+doubling-stride prefix scan), the selective scan and the causal conv as
+fused tape nodes, and the bidirectional block every fusion stage is built
+from. ``lti_scan`` is the time-invariant test oracle: it runs the same
+sweeps and ZOH, plus an independent convolution-kernel evaluation.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -62,16 +64,6 @@ def discretize(a, b, delta):
 # Linear recurrence evaluation
 # ---------------------------------------------------------------------------
 
-def combine(p, q):
-    """Associative combine for the prefix scan: q composed after p.
-
-    Elements are (a, b) pairs representing the affine map h -> a*h + b.
-    """
-    pa, pb = p
-    qa, qb = q
-    return qa * pa, qa * pb + qb
-
-
 def _scan_forward_sequential(a, b):
     h = np.empty_like(b)
     h[0] = b[0]
@@ -117,6 +109,13 @@ def _scan_forward_parallel(a, b):
     return h
 
 
+# Evaluation orders of the linear recurrence (BiMamba's scan_mode), each
+# with the numpy sweep that runs it.
+SWEEPS = {"recurrent": _scan_forward_sequential,
+          "parallel": _scan_forward_parallel}
+SCAN_MODES = tuple(SWEEPS)
+
+
 def _scan_adjoint(a, h, g, sweep):
     # lam_t = g_t + a_{t+1} * lam_{t+1} is the forward sweep run backward in
     # time over the shifted transitions; db = lam; da_t = lam_t * h_{t-1}
@@ -134,16 +133,11 @@ def _linear_recurrence(a_bar, bx, mode):
     length = a_bar.shape[0]
     per_step = int(np.prod(a_bar.shape[1:]))
     if mode == "recurrent":
-        sweep = _scan_forward_sequential
         _count_macs((length - 1) * per_step)
     else:
-        sweep = _scan_forward_parallel
-        levels = 0
-        d = 1
-        while d < length:
-            levels += 1
-            d *= 2
-        _count_macs(2 * length * per_step * levels)
+        # two multiplies per element on each of ceil(log2 L) levels
+        _count_macs(2 * length * per_step * (length - 1).bit_length())
+    sweep = SWEEPS[mode]
     h_data = sweep(a_bar.data, bx.data)
     out = Tensor(h_data)
 
@@ -210,10 +204,6 @@ class SSMParams:
         return [self.w_delta, self.b_delta, self.w_b, self.w_c, self.d_skip]
 
 
-# Evaluation orders of the selective scan (BiMamba's scan_mode).
-SCAN_MODES = ("recurrent", "parallel")
-
-
 def _selective_scan(u, params, mode):
     """One selective-scan direction over u (L, C) as a single tape node.
 
@@ -223,13 +213,11 @@ def _selective_scan(u, params, mode):
     states h, and recomputes exp(delta*A) and (exp(delta*A) - 1)/A (the
     recomputation of Mamba, Gu & Dao 2023, section 3.3).
     """
-    if mode == "recurrent":
-        recurrence, sweep = linear_recurrence_sequential, \
-            _scan_forward_sequential
-    elif mode == "parallel":
-        recurrence, sweep = linear_recurrence_parallel, _scan_forward_parallel
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
+    sweep = SWEEPS[mode]
+    # the public recurrences are looked up at call time, so a wrapper put
+    # on the module attribute sees every call
+    recurrence = linear_recurrence_sequential if mode == "recurrent" \
+        else linear_recurrence_parallel
     x = u.data
     channels = x.shape[1]
     n = params.state_dim
@@ -281,30 +269,8 @@ def _selective_scan(u, params, mode):
     return out
 
 
-def scan_recurrent(x, params):
-    """Selective scan evaluated by the step-by-step recurrence."""
-    if isinstance(params, LTIParams):
-        return _lti_scan(np.asarray(x), params, "recurrent")
-    return _selective_scan(x, params, "recurrent")
-
-
-def scan_parallel(x, params):
-    """Selective scan evaluated by the associative prefix scan."""
-    if isinstance(params, LTIParams):
-        return _lti_scan(np.asarray(x), params, "parallel")
-    return _selective_scan(x, params, "parallel")
-
-
-def scan_kernel(x, params):
-    """LTI-only evaluation through the global convolution kernel."""
-    if not isinstance(params, LTIParams):
-        raise ValueError("scan_kernel requires time-invariant parameters "
-                         "(LTIParams); selection makes the kernel undefined")
-    return _lti_scan(np.asarray(x), params, "kernel")
-
-
 # ---------------------------------------------------------------------------
-# Time-invariant mode (test oracle trio, plain numpy)
+# Time-invariant scan (test oracle, plain numpy)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -324,15 +290,11 @@ class LTIParams:
         self.c = np.asarray(self.c, dtype=np.float64)
         self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
         self.d_skip = np.atleast_1d(np.asarray(self.d_skip, dtype=np.float64))
-        if np.any(self.a >= 0):
-            raise ValueError("LTIParams: A must be strictly negative")
-        if np.any(self.delta <= 0):
-            raise ValueError("LTIParams: delta must be strictly positive")
+        self.discretized()  # _zoh rejects A >= 0 and delta <= 0
 
     def discretized(self):
-        a_bar = np.exp(self.delta[:, None] * self.a)
-        b_bar = (a_bar - 1.0) / self.a * self.b[None, :]
-        return a_bar, b_bar
+        a_bar, q = _zoh(self.a, self.delta[:, None])
+        return a_bar, q * self.b
 
     @staticmethod
     def random(rng, channels, state_dim):
@@ -345,27 +307,18 @@ class LTIParams:
         )
 
 
-def _lti_scan(x, params, mode):
+def lti_scan(x, params, mode):
+    """Time-invariant scan y = C h + D x of x (L,) or (L, C).
+
+    mode "recurrent" or "parallel" runs that mode's sweep from ``SWEEPS``,
+    the one the model runs; "kernel" convolves x with the global kernel
+    k_l = C a_bar^l b_bar, an independent evaluation to check them against.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     length, channels = x.shape
     a_bar, b_bar = params.discretized()
-    if mode == "recurrent":
-        h = np.zeros((channels, params.a.shape[1]))
-        ys = np.empty((length, channels))
-        for t in range(length):
-            h = a_bar * h + b_bar * x[t][:, None]
-            ys[t] = h @ params.c
-        return ys + params.d_skip * x
-    if mode == "parallel":
-        aa = np.broadcast_to(a_bar, (length,) + a_bar.shape).copy()
-        bb = b_bar[None, :, :] * x[:, :, None]
-        d = 1
-        while d < length:
-            bb[d:] = aa[d:] * bb[:-d] + bb[d:]
-            aa[d:] = aa[d:] * aa[:-d]
-            d *= 2
-        return bb @ params.c + params.d_skip * x
     if mode == "kernel":
         # k[l, c] = sum_n c_n * a_bar^l * b_bar ; y = causal conv of x with k
         powers = a_bar[None, :, :] ** np.arange(length)[:, None, None]
@@ -374,7 +327,9 @@ def _lti_scan(x, params, mode):
         for t in range(length):
             ys[t] = np.einsum("lc,lc->c", kern[: t + 1], x[t::-1])
         return ys + params.d_skip * x
-    raise ValueError(f"unknown scan mode {mode!r}")
+    h = SWEEPS[mode](np.broadcast_to(a_bar, (length,) + a_bar.shape),
+                     b_bar * x[:, :, None])
+    return h @ params.c + params.d_skip * x
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +383,9 @@ class BiMamba:
                  shared_a_log_backward=None, name="bimamba"):
         if expansion < 1:
             raise ValueError("expansion factor must be >= 1")
+        if scan_mode not in SCAN_MODES:
+            raise ValueError(f"unknown scan mode {scan_mode!r}; "
+                             f"choose from {', '.join(SCAN_MODES)}")
         self.d_model = d_model
         self.inner = expansion * d_model
         self.scan_mode = scan_mode

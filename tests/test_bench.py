@@ -153,12 +153,12 @@ def test_wallclock_reports_median_and_iqr():
 
 def test_scan_growth_is_subquadratic_and_attention_superlinear():
     rng = np.random.default_rng(0)
-    from mamba_fusion.ssm import LTIParams, scan_parallel
+    from mamba_fusion.ssm import LTIParams, lti_scan
 
     def scan_time(length):
         params = LTIParams.random(rng, channels=16, state_dim=8)
         x = rng.standard_normal((length, 16))
-        return wallclock(lambda: scan_parallel(x, params), reps=9,
+        return wallclock(lambda: lti_scan(x, params, "parallel"), reps=9,
                          warmup=2)["median_s"]
 
     def attention_time(length):

@@ -87,6 +87,23 @@ def test_boolean_words_in_any_case(word, value):
     assert model_cfg.enhancement is value
 
 
+@pytest.mark.parametrize("config,argv", [
+    ("epochs = 3\n", ["bench"]),
+    ("[train]\nepochs = 3\nepochs = 4\n", ["bench"]),
+    (None, ["bench", "--time", "--reps", "0"]),
+    (None, ["gradcheck", "--per-coordinate", "0"]),
+], ids=["no-section-header", "repeated-key", "zero-reps", "zero-coordinates"])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.ini")]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "passed" not in captured.out
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     code = main(["bench", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")])
@@ -192,6 +209,18 @@ def test_bench_counts_the_configured_scan_mode(tmp_path, scan_mode):
     assert report["macs"] == model_macs(cfg, mode=cfg.scan_mode)
 
 
+def test_train_seed_from_config_equals_seed_flag(tmp_path):
+    hashes = []
+    for name, flags in (("set", ["--set", "train.seed=5"]),
+                        ("flag", ["--seed", "5"])):
+        code = main(["train", "--epochs", "1", "--n", "8", *flags,
+                     "--out", str(tmp_path / name)])
+        assert code == 0
+        assert "seed = 5" in (tmp_path / name / "resolved_config.ini").read_text()
+        hashes.append(_hash_dir(tmp_path / name / "checkpoint"))
+    assert hashes[0] == hashes[1]
+
+
 def test_gradcheck_passes_on_default_model(workspace, capsys):
     code = main(["gradcheck", "--per-coordinate", "2", "--seed", "1"])
     assert code == 0
@@ -260,3 +289,17 @@ def test_checkpoint_with_renamed_tensor_is_rejected(tmp_path):
                    "tensor_0 align_v.w:")
     with pytest.raises(ValueError, match="name mismatch.*align_v.w"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_with_retired_config_key_still_loads(tmp_path):
+    # checkpoints written before threshold_scale was removed carry its key
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    model = build_model("desk", seed=0)
+    save_checkpoint(model, tmp_path / "ckpt")
+    _edit_manifest(tmp_path / "ckpt", "config_tau ",
+                   "config_threshold_scale 1.0\nconfig_tau ")
+    x_t, x_v, x_a = (np.random.default_rng(i).standard_normal(shape)
+                     for i, shape in enumerate([(16, 32), (24, 16), (32, 8)]))
+    assert load_checkpoint(tmp_path / "ckpt").predict(x_t, x_v, x_a) == \
+        model.predict(x_t, x_v, x_a)

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mamba_fusion import container
 from mamba_fusion.datagen import (
@@ -168,6 +170,74 @@ def test_future_version_rejected():
     buf.seek(0)
     with pytest.raises(container.HeaderError):
         container.read_tensor(buf)
+
+
+def _records():
+    """A (2, 3) float64, a (4,) float32 and an empty (0, 2) record."""
+    buf = io.BytesIO()
+    for arr in (np.arange(6.0).reshape(2, 3), np.ones(4, dtype=np.float32),
+                np.zeros((0, 2))):
+        container.write_tensor(buf, arr)
+    return buf.getvalue()
+
+
+_BLOB = _records()
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None)
+
+
+def _read_records(raw):
+    """Read the three records; the arrays must fit in the bytes given."""
+    buf = io.BytesIO(raw)
+    arrays = [container.read_tensor(buf) for _ in range(3)]
+    assert sum(a.nbytes for a in arrays) <= len(raw)
+    return arrays
+
+
+def test_fuzz_blob_reads_back():
+    arrays = _read_records(_BLOB)
+    assert [a.shape for a in arrays] == [(2, 3), (4,), (0, 2)]
+
+
+@_FUZZ
+@given(st.integers(0, len(_BLOB) - 1))
+def test_truncated_container_always_raises_container_error(cut):
+    with pytest.raises(container.ContainerError):
+        _read_records(_BLOB[:cut])
+
+
+@_FUZZ
+@given(st.lists(st.integers(0, 8 * len(_BLOB) - 1), min_size=1, max_size=8))
+def test_bit_flipped_container_reads_or_raises_container_error(bits):
+    raw = bytearray(_BLOB)
+    for bit in bits:
+        raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        _read_records(bytes(raw))
+    except container.ContainerError:
+        pass
+
+
+@_FUZZ
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6))
+def test_bad_extents_read_or_raise_container_error(extents):
+    # the first record's rank and extents replaced, payload bytes kept
+    header = struct.pack("<4sIII", container.MAGIC, container.VERSION, 1,
+                         len(extents))
+    raw = header + struct.pack(f"<{len(extents)}Q", *extents) + _BLOB[32:]
+    try:
+        _read_records(raw)
+    except container.ContainerError:
+        pass
+
+
+def test_extents_overflowing_int64_raise_container_error():
+    for extents in ((2**33, 2**33), (0, 2**62), (2**64 - 1,)):
+        raw = struct.pack("<4sIII", container.MAGIC, container.VERSION, 1,
+                          len(extents)) + struct.pack(
+            f"<{len(extents)}Q", *extents) + b"\x00" * 64
+        with pytest.raises(container.ContainerError):
+            container.read_tensor(io.BytesIO(raw))
 
 
 def test_labels_csv_export(tmp_path):
