@@ -163,10 +163,14 @@ def cmd_train(args):
     if args.epochs is not None:
         train_cfg = dataclasses.replace(train_cfg, epochs=args.epochs)
     ds = _dataset_for(args, model_cfg, train_cfg.seed)
+    train_set, valid_set = ds.split("train"), ds.split("valid")
+    if not train_set or not valid_set:
+        raise UsageError(
+            f"train needs samples in both splits; got {len(train_set)} "
+            f"train and {len(valid_set)} validation of {len(ds.samples)}")
     model = TextFusionModel(model_cfg, seed=train_cfg.seed)
-    history = training.train(model, ds.split("train"), train_cfg,
-                             ds.unknown_text_vector,
-                             valid_samples=ds.split("valid"))
+    history = training.train(model, train_set, train_cfg,
+                             ds.unknown_text_vector, valid_samples=valid_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint")
@@ -220,6 +224,8 @@ def cmd_sweep(args):
 
 def cmd_bench(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
+    if args.length is not None and args.length < 1:
+        raise UsageError(f"--length must be >= 1, got {args.length}")
     model = TextFusionModel(model_cfg, seed=args.seed)
     timing = None
     if args.time:

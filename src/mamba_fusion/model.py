@@ -21,6 +21,12 @@ from .tme import Aligner, TextReconstructor, enhance, recon_loss, \
 from .tq_mamba import CrossAttention, FusionHead, LatentStack, text_query
 
 
+# integer fields that size an array or a stack; tq_depth may be 0
+_SIZE_FIELDS = ("length", "d_model", "state_dim", "expansion", "tc_depth",
+                "heads", "conv_width", "t_text", "d_text", "t_visual",
+                "d_visual", "t_audio", "d_audio")
+
+
 @dataclass
 class ModelConfig:
     length: int = 16          # aligned sequence length, equals the text length
@@ -49,6 +55,14 @@ class ModelConfig:
     use_attention: bool = False
 
     def __post_init__(self):
+        for name in _SIZE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.tq_depth < 0:
+            raise ValueError(f"tq_depth must be >= 0, got {self.tq_depth}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.t_text != self.length:
             raise ValueError("aligned length must equal the text length")
         if self.d_model % self.heads != 0:

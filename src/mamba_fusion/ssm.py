@@ -2,7 +2,8 @@
 
 Zero-order-hold discretization (``_zoh``), one numpy sweep per evaluation
 order of the linear recurrence (``SWEEPS``: step by step, or a
-doubling-stride prefix scan), the selective scan and the causal conv as
+doubling-stride prefix scan) with one in-place backward-in-time sweep as
+the adjoint of both, the selective scan and the causal conv as
 fused tape nodes, and the bidirectional block every fusion stage is built
 from. ``lti_scan`` is the time-invariant test oracle: it runs the same
 sweeps and ZOH, plus an independent convolution-kernel evaluation.
@@ -116,13 +117,22 @@ SWEEPS = {"recurrent": _scan_forward_sequential,
 SCAN_MODES = tuple(SWEEPS)
 
 
-def _scan_adjoint(a, h, g, sweep):
-    # lam_t = g_t + a_{t+1} * lam_{t+1} is the forward sweep run backward in
-    # time over the shifted transitions; db = lam; da_t = lam_t * h_{t-1}
-    a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
-    lam = sweep(a_rev, g[::-1])[::-1].copy()
-    da = np.zeros_like(a)
-    da[1:] = lam[1:] * h[:-1]
+def _scan_adjoint(a, h, lam):
+    # lam holds g on entry and is swept backward in time in place into the
+    # adjoint state lam_t = g_t + a_{t+1} * lam_{t+1}, step by step in either
+    # scan mode; db = lam, da_t = lam_t * h_{t-1} and da_0 = 0
+    length = a.shape[0]
+    for t in range(length - 2, -1, -1):
+        lam[t] += a[t + 1] * lam[t + 1]
+    finite = np.isfinite(lam).reshape(length, -1).all(axis=1)
+    if not finite.all():
+        # the sweep runs backward, so the latest bad timestep failed first
+        raise FloatingPointError(
+            "recurrence adjoint diverged at timestep "
+            f"{length - 1 - int(np.argmin(finite[::-1]))}")
+    da = np.empty_like(a)
+    da[0] = 0.0
+    np.multiply(lam[1:], h[:-1], out=da[1:])
     return da, lam
 
 
@@ -137,12 +147,12 @@ def _linear_recurrence(a_bar, bx, mode):
     else:
         # two multiplies per element on each of ceil(log2 L) levels
         _count_macs(2 * length * per_step * (length - 1).bit_length())
-    sweep = SWEEPS[mode]
-    h_data = sweep(a_bar.data, bx.data)
+    h_data = SWEEPS[mode](a_bar.data, bx.data)
     out = Tensor(h_data)
 
     def bwd(g):
-        return _scan_adjoint(a_bar.data, h_data, g, sweep)
+        # out.grad is g: the adjoint sweeps a copy
+        return _scan_adjoint(a_bar.data, h_data, g.copy())
 
     _record(out, (a_bar, bx), bwd)
     return out
@@ -154,8 +164,9 @@ def linear_recurrence_sequential(a_bar, bx):
 
 
 def linear_recurrence_parallel(a_bar, bx):
-    """Same recurrence via an inclusive associative prefix scan; forward and
-    adjoint sweeps both run in ceil(log2 L) full-width passes."""
+    """Same recurrence via an inclusive associative prefix scan in
+    ceil(log2 L) passes; the adjoint is the same sequential backward sweep
+    as in the step-by-step order."""
     return _linear_recurrence(a_bar, bx, "parallel")
 
 
@@ -213,7 +224,6 @@ def _selective_scan(u, params, mode):
     states h, and recomputes exp(delta*A) and (exp(delta*A) - 1)/A (the
     recomputation of Mamba, Gu & Dao 2023, section 3.3).
     """
-    sweep = SWEEPS[mode]
     # the public recurrences are looked up at call time, so a wrapper put
     # on the module attribute sees every call
     recurrence = linear_recurrence_sequential if mode == "recurrent" \
@@ -244,8 +254,9 @@ def _selective_scan(u, params, mode):
         a = -np.exp(a_log)
         delta = np.logaddexp(0.0, z)
         a_bar, q = _zoh(a, delta[:, :, None])
-        da_bar, lam = _scan_adjoint(a_bar, h, g[:, :, None] * c_sel[:, None, :],
-                                    sweep)
+        # the fresh g * C is the adjoint's buffer
+        da_bar, lam = _scan_adjoint(a_bar, h,
+                                    g[:, :, None] * c_sel[:, None, :])
         # bx = q * B * u
         lam_q = lam * q
         du = g * d_skip + np.matmul(lam_q, b_sel[:, :, None])[:, :, 0]

@@ -34,6 +34,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lambda_rec < 0:
             raise ValueError("loss weight must be non-negative")
+        for name in ("epochs", "batch_size", "val_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def lr_at(step, total_steps, base_lr, warmup_frac):

@@ -104,6 +104,40 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
     assert "passed" not in captured.out
 
 
+@pytest.mark.parametrize("argv,word", [
+    (["bench", "--set", "model.heads=0"], "heads"),
+    (["bench", "--set", "model.d_model=0"], "d_model"),
+    (["bench", "--set", "model.conv_width=0"], "conv_width"),
+    (["bench", "--set", "model.state_dim=0"], "state_dim"),
+    (["bench", "--set", "model.tau=0"], "tau"),
+    (["bench", "--length", "0"], "--length"),
+    (["train", "--set", "train.batch_size=0"], "batch_size"),
+    (["train", "--set", "train.epochs=0"], "epochs"),
+    (["train", "--epochs", "0"], "epochs"),
+    (["train", "--set", "train.val_every=0"], "val_every"),
+], ids=["heads", "d_model", "conv_width", "state_dim", "tau", "length",
+        "batch_size", "epochs", "epochs-flag", "val_every"])
+def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
+                                                        argv, word):
+    code = main(argv + ["--n", "8"] * (argv[0] == "train")
+                + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert word in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_with_an_empty_split_is_a_usage_error(tmp_path, capsys):
+    # 2 samples split 1 / 0 / 1: nothing to select the best epoch on
+    code = main(["train", "--n", "2", "--epochs", "1",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "1 train and 0 validation" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     code = main(["bench", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")])
@@ -252,6 +286,8 @@ def _edit_manifest(directory, old, new):
     ("config_enhancement True", "config_enhancement Ture",
      "config_enhancement"),
     ("config_scan_mode parallel", "config_scan_mode paralel", "scan_mode"),
+    ("config_heads 4", "config_heads 0", "heads"),
+    ("config_tau 0.07", "config_tau 0.0", "tau"),
 ])
 def test_bad_checkpoint_manifest_is_io_error(tmp_path, capsys, old, new, key):
     from mamba_fusion.cli import save_checkpoint

@@ -1,5 +1,7 @@
 """Tests for discretization, the three scan strategies, and the Bi-Mamba block."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from mamba_fusion.autodiff import (
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, LTIParams, SSMParams, _scan_forward_parallel, _selective_scan,
-    depthwise_conv_causal, discretize, linear_recurrence_parallel,
-    linear_recurrence_sequential, lti_scan,
+    BiMamba, LTIParams, SSMParams, _scan_adjoint, _scan_forward_parallel,
+    _selective_scan, depthwise_conv_causal, discretize,
+    linear_recurrence_parallel, linear_recurrence_sequential, lti_scan,
 )
 
 
@@ -205,6 +207,55 @@ def test_recurrence_diverging_state_names_timestep():
             linear_recurrence_sequential(a, b)
 
 
+def reverse_sweep_adjoint(a, h, g, mode):
+    """The adjoint as that mode's forward sweep run over the time-reversed
+    shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
+    a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
+    lam = ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
+    da = np.zeros_like(a)
+    da[1:] = lam[1:] * h[:-1]
+    return da, lam
+
+
+@pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (2, 1, 1),
+                                   (50, 40, 12)])
+def test_scan_adjoint_matches_the_reverse_sweep_oracle(shape):
+    rng = np.random.default_rng(14)
+    a = rng.uniform(0.2, 1.0, size=shape)
+    h = rng.standard_normal(shape)
+    g = rng.standard_normal(shape)
+    da, lam = _scan_adjoint(a, h, g.copy())
+    da_r, lam_r = reverse_sweep_adjoint(a, h, g, "recurrent")
+    np.testing.assert_array_equal(lam, lam_r)
+    np.testing.assert_array_equal(da, da_r)
+    da_p, lam_p = reverse_sweep_adjoint(a, h, g, "parallel")
+    np.testing.assert_allclose(lam, lam_p, rtol=1e-12)
+    np.testing.assert_allclose(da, da_p, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rec", [linear_recurrence_sequential,
+                                 linear_recurrence_parallel])
+def test_recurrence_backward_leaves_the_output_gradient_alone(rec):
+    rng = np.random.default_rng(6)
+    a = Parameter(rng.uniform(0.2, 1.0, size=(9, 3, 2)), name="a")
+    b = Parameter(rng.standard_normal((9, 3, 2)), name="b")
+    weight = rng.standard_normal((9, 3, 2))
+    with Tape():
+        out = rec(a, b)
+        backward(sum_(mul(out, Tensor(weight))))
+    np.testing.assert_array_equal(out.grad, weight)
+    _, lam = _scan_adjoint(a.data, out.data, weight.copy())
+    np.testing.assert_array_equal(b.grad, lam)
+
+
+def test_recurrence_diverging_adjoint_names_timestep():
+    a = np.full((4, 1, 1), 1e300)
+    g = np.full((4, 1, 1), 1e300)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="timestep 2"):
+            _scan_adjoint(a, np.ones_like(a), g)
+
+
 def test_stability_bound_on_random_instances():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -312,6 +363,26 @@ def test_selective_scan_gradients_match_finite_differences():
                              Tensor(weight))),
             [u] + params.parameters())
         assert err < 1e-4, f"{mode}: {err}"
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+def test_scan_backward_peak_memory(mode):
+    # the recomputed ZOH pair, the adjoint buffer, d(a_bar) and lam * q are
+    # the (L, C, N) arrays one backward needs; a copied or reversed sweep
+    # input on top of them pushes the peak past 6.5
+    length, channels, state_dim = 50, 64, 12
+    params, u, weight = _scan_inputs(8, length, channels, state_dim)
+    with Tape() as tape:
+        _selective_scan(u, params, mode)
+    (_, _, bwd), = tape.records
+    tracemalloc.start()
+    try:
+        bwd(weight)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full = length * channels * state_dim * 8
+    assert peak < 6.5 * full, f"peak {peak / full:.2f} full-size arrays"
 
 
 def whole_array_sweep(a, b):
