@@ -276,15 +276,18 @@ def div(a, b):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; any leading axes are stacked
+    (equal on both operands, never broadcast)."""
+    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
         raise ValueError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
     _check_finite("matmul", out.data)
-    _count_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    _count_macs(out.size * a.shape[-1])
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     _record(out, (a, b), bwd)
     return out

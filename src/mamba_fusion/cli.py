@@ -28,6 +28,15 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as one-line usage errors (exit 1) instead of
+    argparse's usage dump and exit 2, which the exit codes reserve for
+    numeric failures."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -266,7 +275,7 @@ def cmd_gradcheck(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mamba-fusion",
         description="Text-enhanced bidirectional-scan multimodal fusion "
                     "with a missing-modality robustness harness.")

@@ -162,16 +162,27 @@ def load(directory):
             f"manifest entry 'n_samples': {n} samples need {3 * n + 2} "
             f"tensors, the file holds {len(named)}")
     arrays = dict(named)
+
+    def tensor(name):
+        if name not in arrays:
+            raise container.ManifestKeyError(f"dataset has no tensor {name!r}")
+        return arrays[name]
+
+    splits = tuple(get(f"split_{k}", int) for k in ("train", "valid", "test"))
+    if min(splits) < 0 or sum(splits) != n:
+        raise container.ManifestKeyError(
+            f"manifest entries 'split_train', 'split_valid', 'split_test': "
+            f"sizes {splits} must be >= 0 and sum to n_samples {n}")
     tt, dt = get("shape_text", _shape_pair)
     tv, dv = get("shape_visual", _shape_pair)
     ta, da = get("shape_audio", _shape_pair)
     shapes = ShapeSpec(tt, dt, tv, dv, ta, da)
-    labels = arrays["labels"]
+    labels = tensor("labels")
     samples = []
     for i in range(n):
-        x_t = arrays[f"sample{i}.x_t"]
-        x_v = arrays[f"sample{i}.x_v"]
-        x_a = arrays[f"sample{i}.x_a"]
+        x_t = tensor(f"sample{i}.x_t")
+        x_v = tensor(f"sample{i}.x_v")
+        x_a = tensor(f"sample{i}.x_a")
         for arr, exp in ((x_t, (tt, dt)), (x_v, (tv, dv)), (x_a, (ta, da))):
             if arr.shape != exp:
                 raise container.ManifestShapeError(
@@ -181,8 +192,7 @@ def load(directory):
         samples, shapes, get("label_low", float), get("label_high", float),
         get("seed", int),
         {m: get(f"snr_{m}", float) for m in ("t", "v", "a")},
-        arrays["unknown_text_vector"],
-        tuple(get(f"split_{k}", int) for k in ("train", "valid", "test")),
+        tensor("unknown_text_vector"), splits,
     )
 
 

@@ -63,6 +63,9 @@ class ModelConfig:
             raise ValueError(f"tq_depth must be >= 0, got {self.tq_depth}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not self.label_low < self.label_high:
+            raise ValueError(f"label_low must be < label_high, got "
+                             f"{self.label_low} and {self.label_high}")
         if self.t_text != self.length:
             raise ValueError("aligned length must equal the text length")
         if self.d_model % self.heads != 0:
@@ -91,22 +94,8 @@ PRESETS = {
 }
 
 
-class SelfAttentionBlock:
-    """Self-attention stand-in for a scan block (attention-substituted variant)."""
-
-    def __init__(self, d_model, heads, rng, name="trans"):
-        self.attn = CrossAttention(d_model, heads, rng, name=name)
-
-    def parameters(self):
-        return self.attn.parameters()
-
-    def __call__(self, x):
-        return self.attn(x, x)
-
-
 def _attention_stack(depth, d_model, heads, rng, name):
-    return LatentStack(SelfAttentionBlock(d_model, heads, rng,
-                                          name=f"{name}{i}")
+    return LatentStack(CrossAttention(d_model, heads, rng, name=f"{name}{i}")
                        for i in range(depth))
 
 

@@ -11,14 +11,16 @@ import numpy as np
 
 from .autodiff import (
     Parameter, Tensor, add, concat, div, layer_norm, matmul, max_over_time,
-    reshape, slicer, softmax_lastdim, transpose,
+    reshape, softmax_lastdim, transpose,
 )
 
 
 class CrossAttention:
-    """Pre-norm residual multi-head scaled dot-product cross-attention.
+    """Pre-norm residual multi-head scaled dot-product attention.
 
-    No positional encodings are added to queries or keys.
+    Cross-attention over ``keyvalue``, or self-attention over the query
+    when none is given. No positional encodings are added to queries or
+    keys.
     """
 
     def __init__(self, d_model, heads, rng, name="xattn"):
@@ -41,34 +43,31 @@ class CrossAttention:
         return [self.norm_gamma, self.norm_beta,
                 self.w_q, self.w_k, self.w_v, self.w_o, self.b_o]
 
-    def _heads(self, query, keyvalue):
-        """Yield each head's row-stochastic attention matrix and values."""
+    def weights_and_values(self, query, keyvalue):
+        """Every head's row-stochastic attention matrix, (H, L_q, L_kv), and
+        values, (H, L_kv, d): heads lie on the leading axis."""
         qn = layer_norm(query, self.norm_gamma, self.norm_beta)
         q = matmul(qn, self.w_q)
         k = matmul(keyvalue, self.w_k)
         v = matmul(keyvalue, self.w_v)
+        split = (-1, self.heads, self.head_dim)
+        qh = transpose(reshape(q, split), (1, 0, 2))
+        kh_t = transpose(reshape(k, split), (1, 2, 0))
+        vh = transpose(reshape(v, split), (1, 0, 2))
         scale = Tensor(np.sqrt(float(self.head_dim)))
-        for h in range(self.heads):
-            cols = (slice(None), slice(h * self.head_dim,
-                                       (h + 1) * self.head_dim))
-            qh = slicer(q, cols)
-            kh = slicer(k, cols)
-            vh = slicer(v, cols)
-            yield softmax_lastdim(div(matmul(qh, transpose(kh)), scale)), vh
+        return softmax_lastdim(div(matmul(qh, kh_t), scale)), vh
 
     def attend(self, query, keyvalue):
         """Attention output before the residual connection."""
-        merged = concat([matmul(weights, vh)
-                         for weights, vh in self._heads(query, keyvalue)],
-                        axis=1)
+        weights, vh = self.weights_and_values(query, keyvalue)
+        merged = reshape(transpose(matmul(weights, vh), (1, 0, 2)),
+                         query.shape)
         return add(matmul(merged, self.w_o), self.b_o)
 
-    def __call__(self, query, keyvalue):
+    def __call__(self, query, keyvalue=None):
+        if keyvalue is None:
+            keyvalue = query
         return add(query, self.attend(query, keyvalue))
-
-    def attention_weights(self, query, keyvalue):
-        """Per-head row-stochastic attention matrices (diagnostic path)."""
-        return [weights for weights, _ in self._heads(query, keyvalue)]
 
 
 def text_query(attn, c_t, c_v, c_a):

@@ -32,8 +32,18 @@ class TrainConfig:
     val_every: int = 1
 
     def __post_init__(self):
-        if self.lambda_rec < 0:
-            raise ValueError("loss weight must be non-negative")
+        # every rule is false for NaN, so NaN is rejected too
+        for name, ok, rule in (
+                ("lr", self.lr > 0, "> 0"),
+                ("eps", self.eps > 0, "> 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("warmup_frac", 0 <= self.warmup_frac <= 1, "in [0, 1]"),
+                ("lambda_rec", self.lambda_rec >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ValueError(

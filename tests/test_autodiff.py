@@ -1,12 +1,14 @@
 """Tests for the tape-based reverse-mode autodiff substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamba_fusion.autodiff import (
-    Parameter, Tape, Tensor, add, backward, concat, div, exp,
+    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div, exp,
     finite_difference_check, flip_time, l2_normalize_lastdim, layer_norm,
     matmul, max_over_time, mul, neg, no_grad, relu, reshape, silu, slicer,
     softmax_lastdim, softplus, sub, sum_, transpose,
@@ -44,6 +46,44 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(4, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_stacked_matmul_equals_per_slice_products(lead):
+    rng = np.random.default_rng(len(lead))
+    a = rng.standard_normal(lead + (4, 5))
+    b = rng.standard_normal(lead + (5, 6))
+    with MacCounter() as counter:
+        out = matmul(Tensor(a), Tensor(b))
+    assert out.shape == lead + (4, 6)
+    for idx in np.ndindex(*lead):
+        np.testing.assert_array_equal(
+            out.data[idx], matmul(Tensor(a[idx]), Tensor(b[idx])).data)
+    assert counter.macs == out.size * 5
+
+
+def test_stacked_matmul_gradients_match_central_differences():
+    for trial in range(3):
+        rng = np.random.default_rng([9090, trial])
+        a = Parameter(rng.standard_normal((3, 2, 4)), name="a")
+        b = Parameter(rng.standard_normal((3, 4, 5)), name="b")
+        probe = Tensor(rng.standard_normal((3, 2, 5)))
+        err = finite_difference_check(
+            lambda: sum_(mul(matmul(a, b), probe)), [a, b])
+        assert err < 1e-4
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 3, 4), (3, 4, 5)),      # leading axes differ
+    ((3, 4), (2, 4, 5)),         # ndim differs (no broadcasting)
+    ((2, 3, 4), (4, 5)),
+    ((4,), (4,)),                # 1-D operands
+    ((2, 4), (4,)),
+])
+def test_matmul_rejects_unstackable_shapes(shape_a, shape_b):
+    pattern = rf"matmul.*{re.escape(str(shape_a))}.*{re.escape(str(shape_b))}"
+    with pytest.raises(ValueError, match=pattern):
+        matmul(Tensor(np.zeros(shape_a)), Tensor(np.zeros(shape_b)))
 
 
 def test_div_by_zero_raises():

@@ -92,7 +92,14 @@ def test_boolean_words_in_any_case(word, value):
     ("[train]\nepochs = 3\nepochs = 4\n", ["bench"]),
     (None, ["bench", "--time", "--reps", "0"]),
     (None, ["gradcheck", "--per-coordinate", "0"]),
-], ids=["no-section-header", "repeated-key", "zero-reps", "zero-coordinates"])
+    (None, ["bench", "--preset", "foo"]),
+    (None, ["bench", "--seed", "abc"]),
+    (None, ["bench", "--bogus"]),
+    (None, ["bogus"]),
+    (None, []),
+], ids=["no-section-header", "repeated-key", "zero-reps", "zero-coordinates",
+        "unknown-preset", "non-integer-seed", "unknown-flag",
+        "unknown-subcommand", "no-subcommand"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "run.ini").write_text(config)
@@ -102,6 +109,13 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
     assert code == 1
     assert len(captured.err.strip().splitlines()) == 1
     assert "passed" not in captured.out
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,word", [
@@ -115,8 +129,20 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
     (["train", "--set", "train.epochs=0"], "epochs"),
     (["train", "--epochs", "0"], "epochs"),
     (["train", "--set", "train.val_every=0"], "val_every"),
+    (["train", "--set", "train.lr=-1"], "lr"),
+    (["train", "--set", "train.lr=nan"], "lr"),
+    (["train", "--set", "train.eps=0"], "eps"),
+    (["train", "--set", "train.beta1=1"], "beta1"),
+    (["train", "--set", "train.beta2=-0.1"], "beta2"),
+    (["train", "--set", "train.weight_decay=-5"], "weight_decay"),
+    (["train", "--set", "train.warmup_frac=-1"], "warmup_frac"),
+    (["train", "--set", "train.warmup_frac=1.5"], "warmup_frac"),
+    (["train", "--set", "model.label_low=3"], "label_low"),
+    (["bench", "--set", "model.label_low=nan"], "label_low"),
 ], ids=["heads", "d_model", "conv_width", "state_dim", "tau", "length",
-        "batch_size", "epochs", "epochs-flag", "val_every"])
+        "batch_size", "epochs", "epochs-flag", "val_every", "lr", "lr-nan",
+        "eps", "beta1", "beta2", "weight_decay", "warmup_frac-low",
+        "warmup_frac-high", "label_low", "label_low-nan"])
 def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
                                                         argv, word):
     code = main(argv + ["--n", "8"] * (argv[0] == "train")
@@ -288,6 +314,7 @@ def _edit_manifest(directory, old, new):
     ("config_scan_mode parallel", "config_scan_mode paralel", "scan_mode"),
     ("config_heads 4", "config_heads 0", "heads"),
     ("config_tau 0.07", "config_tau 0.0", "tau"),
+    ("config_label_low -3.0", "config_label_low 3.0", "label_low"),
 ])
 def test_bad_checkpoint_manifest_is_io_error(tmp_path, capsys, old, new, key):
     from mamba_fusion.cli import save_checkpoint
@@ -304,6 +331,12 @@ def test_bad_checkpoint_manifest_is_io_error(tmp_path, capsys, old, new, key):
 @pytest.mark.parametrize("old,new,key", [
     ("shape_text 16x32", "shape_text 16", "shape_text"),
     ("n_samples 24", "n_samples 25", "n_samples"),
+    (" labels:", " label:", "labels"),
+    (" sample0.x_t:", " sample0.xt:", "sample0.x_t"),
+    (" unknown_text_vector:", " unknown:", "unknown_text_vector"),
+    ("split_train 17", "split_train 30", "split_train"),
+    ("split_valid 4", "split_valid -1", "split_valid"),
+    ("split_test 3", "split_test 4", "split_test"),
 ])
 def test_bad_dataset_manifest_is_io_error(workspace, tmp_path, capsys, old,
                                           new, key):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Tensor, no_grad
+from mamba_fusion.autodiff import (
+    Parameter, Tape, Tensor, add, backward, concat, div, layer_norm, matmul,
+    mul, no_grad, slicer, softmax_lastdim, sum_, transpose,
+)
 from mamba_fusion.ssm import BiMamba
 from mamba_fusion.tq_mamba import (
     CrossAttention, FusionHead, LatentStack, text_query,
@@ -15,6 +18,23 @@ def _layer_normed(x, attn):
     var = x.var(axis=-1, keepdims=True)
     xn = (x - mu) / np.sqrt(var + 1e-5)
     return xn * attn.norm_gamma.data + attn.norm_beta.data
+
+
+def per_head_attend(attn, query, keyvalue):
+    """Oracle: the head-by-head tape composition that ``attend`` replaced,
+    one column slice of q, k and v per head, merged by concatenation."""
+    qn = layer_norm(query, attn.norm_gamma, attn.norm_beta)
+    q = matmul(qn, attn.w_q)
+    k = matmul(keyvalue, attn.w_k)
+    v = matmul(keyvalue, attn.w_v)
+    scale = Tensor(np.sqrt(float(attn.head_dim)))
+    outs = []
+    for h in range(attn.heads):
+        cols = (slice(None), slice(h * attn.head_dim, (h + 1) * attn.head_dim))
+        qh, kh, vh = slicer(q, cols), slicer(k, cols), slicer(v, cols)
+        weights = softmax_lastdim(div(matmul(qh, transpose(kh)), scale))
+        outs.append(matmul(weights, vh))
+    return add(matmul(concat(outs, axis=1), attn.w_o), attn.b_o)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +57,9 @@ def test_identical_keys_give_uniform_attention_and_mean_value():
     attn = CrossAttention(4, heads=2, rng=rng)
     query = Tensor(rng.standard_normal((2, 4)))
     kv = Tensor(np.tile(rng.standard_normal(4), (5, 1)))
-    for w in attn.attention_weights(query, kv):
-        np.testing.assert_allclose(w.data, np.full((2, 5), 0.2), atol=1e-12)
+    weights, _ = attn.weights_and_values(query, kv)
+    for w in weights.data:
+        np.testing.assert_allclose(w, np.full((2, 5), 0.2), atol=1e-12)
     out = attn.attend(query, kv).data
     v_mean = (kv.data @ attn.w_v.data).mean(axis=0)
     expected = np.tile(v_mean @ attn.w_o.data + attn.b_o.data, (2, 1))
@@ -66,8 +87,9 @@ def test_attention_rows_sum_to_one_per_head():
     attn = CrossAttention(8, heads=4, rng=rng)
     query = Tensor(rng.standard_normal((5, 8)))
     kv = Tensor(rng.standard_normal((9, 8)))
-    for w in attn.attention_weights(query, kv):
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(5), atol=1e-9)
+    weights, _ = attn.weights_and_values(query, kv)
+    for w in weights.data:
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-9)
 
 
 def test_residual_wrapper_adds_query():
@@ -78,6 +100,54 @@ def test_residual_wrapper_adds_query():
     np.testing.assert_allclose(attn(query, kv).data,
                                query.data + attn.attend(query, kv).data,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_stacked_heads_match_per_head_oracle(heads):
+    rng = np.random.default_rng(100 + heads)
+    attn = CrossAttention(16, heads=heads, rng=rng)
+    attn.norm_gamma.data = rng.uniform(0.5, 1.5, 16)
+    attn.norm_beta.data = rng.standard_normal(16)
+    attn.b_o.data = rng.standard_normal(16)
+    query = Parameter(rng.standard_normal((5, 16)), name="query")
+    kv = Parameter(rng.standard_normal((7, 16)), name="kv")
+    probe = Tensor(rng.standard_normal((5, 16)))
+    params = [query, kv] + attn.parameters()
+    outs, grads = [], []
+    for attend in (attn.attend, lambda q, k: per_head_attend(attn, q, k)):
+        for p in params:
+            p.zero_grad()
+        with Tape():
+            out = attend(query, kv)
+            backward(sum_(mul(out, probe)))
+        outs.append(out.data)
+        grads.append([p.grad.copy() for p in params])
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for p, stacked, looped in zip(params, *grads):
+        np.testing.assert_allclose(stacked, looped, rtol=1e-10, atol=0,
+                                   err_msg=p.name)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_cross_attention_records_19_tape_nodes_for_any_head_count(heads):
+    # layer norm; q, k, v projections; per projection one reshape and one
+    # transpose onto the head axis; the scaled product (matmul, div,
+    # softmax); the product with the values; the merge (transpose,
+    # reshape); output projection (matmul, bias); residual add
+    rng = np.random.default_rng(heads)
+    attn = CrossAttention(16, heads=heads, rng=rng)
+    query = Tensor(rng.standard_normal((5, 16)))
+    kv = Tensor(rng.standard_normal((7, 16)))
+    with Tape() as tape:
+        attn(query, kv)
+    assert len(tape.records) == 19
+
+
+def test_self_attention_is_cross_attention_over_the_query():
+    rng = np.random.default_rng(13)
+    attn = CrossAttention(8, heads=2, rng=rng)
+    x = Tensor(rng.standard_normal((6, 8)))
+    np.testing.assert_array_equal(attn(x).data, attn(x, x).data)
 
 
 def test_head_count_must_divide_model_dim():
