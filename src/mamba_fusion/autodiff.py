@@ -20,9 +20,8 @@ __all__ = [
     "backward",
     "finite_difference_check",
     "unique_parameters",
-    "add", "sub", "mul", "div", "neg", "matmul", "exp", "softplus",
-    "silu", "relu", "softmax_lastdim", "l2_normalize_lastdim",
-    "layer_norm", "flip_time", "concat", "sum_",
+    "add", "mul", "div", "matmul", "silu", "relu", "softmax_lastdim",
+    "l2_normalize_lastdim", "layer_norm", "flip_time", "concat", "sum_",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
 
@@ -107,8 +106,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
 
     @property
@@ -130,41 +129,19 @@ class Tensor:
 
     # Operator sugar; scalars and arrays are lifted to constant Tensors.
     def __add__(self, other):
-        return add(self, _lift(other, self))
-
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
+        return add(self, _lift(other))
 
     def __mul__(self, other):
-        return mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return mul(self, _lift(other))
 
 
 class Parameter(Tensor):
     """A trainable Tensor whose gradient persists across tapes until zeroed."""
 
-    __slots__ = ("trainable", "name")
+    __slots__ = ("name",)
 
-    def __init__(self, data, trainable=True, name="", dtype=np.float64):
-        super().__init__(data, dtype=dtype)
-        self.trainable = trainable
+    def __init__(self, data, name=""):
+        super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -175,10 +152,8 @@ class Parameter(Tensor):
         return f"Parameter({self.name or 'unnamed'}, shape={self.shape})"
 
 
-def _lift(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+def _lift(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def unique_parameters(params):
@@ -226,27 +201,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    out = Tensor(a.data - b.data)
-    _check_finite("sub", out.data)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    _record(out, (a, b), bwd)
-    return out
-
-
-def neg(a):
-    out = Tensor(-a.data)
-
-    def bwd(g):
-        return (-g,)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def mul(a, b):
     out = Tensor(a.data * b.data)
     _check_finite("mul", out.data)
@@ -290,28 +244,6 @@ def matmul(a, b):
         return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     _record(out, (a, b), bwd)
-    return out
-
-
-def exp(a):
-    out = Tensor(np.exp(a.data))
-    _check_finite("exp", out.data)
-
-    def bwd(g):
-        return (g * out.data,)
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def softplus(a):
-    # log(1 + e^x) computed stably
-    out = Tensor(np.logaddexp(0.0, a.data))
-
-    def bwd(g):
-        return (g * _sigmoid_np(a.data),)
-
-    _record(out, (a,), bwd)
     return out
 
 
@@ -459,7 +391,8 @@ def slicer(a, key):
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape).copy())
+    # a view where numpy can make one: no primitive writes into its input
+    out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
         return (g.reshape(a.shape),)

@@ -141,19 +141,38 @@ def load_checkpoint(directory, seed=0):
     return model
 
 
-def _synthetic(model_cfg, n, seed):
-    shapes = datagen.ShapeSpec(
+def _shapes(model_cfg):
+    return datagen.ShapeSpec(
         model_cfg.t_text, model_cfg.d_text, model_cfg.t_visual,
         model_cfg.d_visual, model_cfg.t_audio, model_cfg.d_audio)
-    return datagen.generate(n, shapes=shapes, seed=seed,
+
+
+def _synthetic(model_cfg, n, seed):
+    return datagen.generate(n, shapes=_shapes(model_cfg), seed=seed,
                             label_range=(model_cfg.label_low,
                                          model_cfg.label_high))
 
 
 def _dataset_for(args, model_cfg, seed):
-    if args.data:
-        return datagen.load(args.data)
-    return _synthetic(model_cfg, args.n, seed)
+    if not args.data:
+        return _synthetic(model_cfg, args.n, seed)
+    ds = datagen.load(args.data)
+    got = dataclasses.asdict(ds.shapes)
+    want = dataclasses.asdict(_shapes(model_cfg))
+    diff = [f"{k} {got[k]} vs {want[k]}" for k in want if got[k] != want[k]]
+    if diff:
+        raise UsageError(f"dataset {args.data} does not fit the model "
+                         f"config (dataset vs config): {', '.join(diff)}")
+    return ds
+
+
+def _test_split(args, model_cfg):
+    ds = _dataset_for(args, model_cfg, args.seed)
+    test = ds.split("test")
+    if not test:
+        raise UsageError(f"{args.command} needs samples in the test split; "
+                         f"got 0 test of {len(ds.samples)}")
+    return test, ds.unknown_text_vector
 
 
 def cmd_generate(args):
@@ -199,10 +218,9 @@ def cmd_eval(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
     model = load_checkpoint(args.checkpoint) if args.checkpoint \
         else TextFusionModel(model_cfg, seed=args.seed)
-    ds = _dataset_for(args, model.config, args.seed)
-    row = harness.evaluate_fixed(model, ds.split("test"),
-                                 ds.unknown_text_vector, args.rate,
-                                 seed=args.seed, scheme=_scheme(model.config))
+    test, unk = _test_split(args, model.config)
+    row = harness.evaluate_fixed(model, test, unk, args.rate, seed=args.seed,
+                                 scheme=_scheme(model.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     import json
@@ -217,9 +235,8 @@ def cmd_sweep(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
     model = load_checkpoint(args.checkpoint) if args.checkpoint \
         else TextFusionModel(model_cfg, seed=args.seed)
-    ds = _dataset_for(args, model.config, args.seed)
-    report = harness.evaluate_sweep(model, ds.split("test"),
-                                    ds.unknown_text_vector, seed=args.seed,
+    test, unk = _test_split(args, model.config)
+    report = harness.evaluate_sweep(model, test, unk, seed=args.seed,
                                     scheme=_scheme(model.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

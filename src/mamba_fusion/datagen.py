@@ -4,7 +4,7 @@ Every sample carries three raw feature sequences (text, visual, audio)
 whose contents embed a latent sentiment score at modality-specific
 signal-to-noise ratios: text carries the cleanest copy of the signal,
 audio the noisiest. Generation is a pure function of (n, shapes, seed,
-snr_profile).
+label_range, split_fracs).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class Dataset:
         raise ValueError(f"unknown split {name!r}")
 
 
-def generate(n, shapes=None, seed=0, snr_profile=None,
-             label_range=(-3.0, 3.0), split_fracs=(0.7, 0.15, 0.15)):
+def generate(n, shapes=None, seed=0, label_range=(-3.0, 3.0),
+             split_fracs=(0.7, 0.15, 0.15)):
     """Build a deterministic synthetic dataset.
 
     Each modality's features are y * pattern * snr + unit noise plus a
@@ -80,8 +80,6 @@ def generate(n, shapes=None, seed=0, snr_profile=None,
         raise ValueError("need at least one sample")
     shapes = shapes or ShapeSpec()
     snr = dict(DEFAULT_SNR)
-    if snr_profile:
-        snr.update(snr_profile)
     for m in ("t", "v", "a"):
         t, d = shapes.of(m)
         if t < 1 or d < 1:
@@ -178,6 +176,12 @@ def load(directory):
     ta, da = get("shape_audio", _shape_pair)
     shapes = ShapeSpec(tt, dt, tv, dv, ta, da)
     labels = tensor("labels")
+    unk = tensor("unknown_text_vector")
+    for name, arr, exp in (("labels", labels, (n,)),
+                           ("unknown_text_vector", unk, (dt,))):
+        if arr.shape != exp:
+            raise container.ManifestShapeError(
+                f"tensor {name}: expected {exp}, got {arr.shape}")
     samples = []
     for i in range(n):
         x_t = tensor(f"sample{i}.x_t")
@@ -191,8 +195,7 @@ def load(directory):
     return Dataset(
         samples, shapes, get("label_low", float), get("label_high", float),
         get("seed", int),
-        {m: get(f"snr_{m}", float) for m in ("t", "v", "a")},
-        tensor("unknown_text_vector"), splits,
+        {m: get(f"snr_{m}", float) for m in ("t", "v", "a")}, unk, splits,
     )
 
 

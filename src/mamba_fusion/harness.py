@@ -108,12 +108,10 @@ def task_loss_tensor(y_hats, labels):
 
 
 def total_loss(task, rec, lam):
-    """task + lam * rec; works on floats and on Tensors."""
+    """task + lam * rec for scalar Tensors."""
     if lam < 0:
         raise ValueError("loss weight must be non-negative")
-    if isinstance(task, Tensor):
-        return add(task, mul(rec, Tensor(float(lam))))
-    return task + lam * float(rec)
+    return add(task, mul(rec, Tensor(float(lam))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,13 @@ order of the linear recurrence (``SWEEPS``: step by step, or a
 doubling-stride prefix scan) with one in-place backward-in-time sweep as
 the adjoint of both, the selective scan and the causal conv as
 fused tape nodes, and the bidirectional block every fusion stage is built
-from. ``lti_scan`` is the time-invariant test oracle: it runs the same
-sweeps and ZOH, plus an independent convolution-kernel evaluation.
+from.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +44,6 @@ def _zoh(a, delta):
     q = a_bar - 1.0
     q /= a
     return a_bar, q
-
-
-def discretize(a, b, delta):
-    """Exact zero-order-hold discretization for a diagonal state matrix.
-
-    a must be elementwise negative, delta elementwise positive; shapes
-    broadcast. Returns constant Tensors (a_bar, b_bar) with
-    a_bar = exp(delta*a) in (0, 1) and b_bar = ((exp(delta*a) - 1)/a) * b.
-    """
-    a_bar, q = _zoh(np.asarray(a, dtype=np.float64),
-                    np.asarray(delta, dtype=np.float64))
-    return Tensor(a_bar), Tensor(q * np.asarray(b, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +195,6 @@ class SSMParams:
         return [self.a_log, self.w_delta, self.b_delta,
                 self.w_b, self.w_c, self.d_skip]
 
-    def own_parameters(self):
-        """Parameters excluding the (possibly shared) state matrix."""
-        return [self.w_delta, self.b_delta, self.w_b, self.w_c, self.d_skip]
-
 
 def _selective_scan(u, params, mode):
     """One selective-scan direction over u (L, C) as a single tape node.
@@ -278,69 +259,6 @@ def _selective_scan(u, params, mode):
     _record(out, (u, params.w_delta, params.b_delta, params.w_b, params.w_c,
                   params.a_log, params.d_skip), bwd)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Time-invariant scan (test oracle, plain numpy)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LTIParams:
-    """A fixed (non-selective) diagonal SSM: A (C,N) negative, B (N,),
-    C (N,), delta (C,) positive, d_skip (C,)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    delta: np.ndarray
-    d_skip: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=np.float64))
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
-        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
-        self.d_skip = np.atleast_1d(np.asarray(self.d_skip, dtype=np.float64))
-        self.discretized()  # _zoh rejects A >= 0 and delta <= 0
-
-    def discretized(self):
-        a_bar, q = _zoh(self.a, self.delta[:, None])
-        return a_bar, q * self.b
-
-    @staticmethod
-    def random(rng, channels, state_dim):
-        return LTIParams(
-            a=-np.exp(rng.uniform(-1.0, 1.0, size=(channels, state_dim))),
-            b=rng.standard_normal(state_dim),
-            c=rng.standard_normal(state_dim),
-            delta=np.exp(rng.uniform(np.log(0.05), np.log(0.5), size=channels)),
-            d_skip=rng.standard_normal(channels),
-        )
-
-
-def lti_scan(x, params, mode):
-    """Time-invariant scan y = C h + D x of x (L,) or (L, C).
-
-    mode "recurrent" or "parallel" runs that mode's sweep from ``SWEEPS``,
-    the one the model runs; "kernel" convolves x with the global kernel
-    k_l = C a_bar^l b_bar, an independent evaluation to check them against.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    length, channels = x.shape
-    a_bar, b_bar = params.discretized()
-    if mode == "kernel":
-        # k[l, c] = sum_n c_n * a_bar^l * b_bar ; y = causal conv of x with k
-        powers = a_bar[None, :, :] ** np.arange(length)[:, None, None]
-        kern = (powers * b_bar[None, :, :]) @ params.c  # (L, C)
-        ys = np.empty((length, channels))
-        for t in range(length):
-            ys[t] = np.einsum("lc,lc->c", kern[: t + 1], x[t::-1])
-        return ys + params.d_skip * x
-    h = SWEEPS[mode](np.broadcast_to(a_bar, (length,) + a_bar.shape),
-                     b_bar * x[:, :, None])
-    return h @ params.c + params.d_skip * x
 
 
 # ---------------------------------------------------------------------------

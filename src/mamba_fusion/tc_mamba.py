@@ -86,41 +86,3 @@ class TcStack:
             c_t, c_v, c_a = block(c_t, c_v, c_a)
         return c_t, c_v, c_a
 
-
-def bimamba_param_count(d_model, state_dim, expansion, conv_width=4,
-                        count_state=True):
-    """Analytic parameter count of one bidirectional block.
-
-    With count_state False the two (channels x state_dim) state matrices
-    are excluded (the shared-storage case where another stream owns them).
-    """
-    inner = expansion * d_model
-    n = 2 * d_model                               # norm gamma/beta
-    n += d_model * 2 * inner + 2 * inner          # in projection
-    n += conv_width * inner + inner               # depthwise conv
-    per_dir = (inner * inner + inner              # delta selection
-               + 2 * inner * state_dim            # B and C selection
-               + inner)                           # d_skip
-    if count_state:
-        per_dir += inner * state_dim
-    n += 2 * per_dir
-    n += inner * d_model + d_model                # out projection
-    return n
-
-
-def shared_param_count(depth, d_model, state_dim, expansion, conv_width=4,
-                       share=True):
-    """Analytic parameter count of a context stack.
-
-    Sharing saves 2 * channels * state_dim parameters per pair (forward
-    plus backward state matrices of the partner stream).
-    """
-    full = bimamba_param_count(d_model, state_dim, expansion, conv_width)
-    partner = bimamba_param_count(d_model, state_dim, expansion, conv_width,
-                                  count_state=not share)
-    return depth * 2 * (full + partner)
-
-
-def sharing_saving(d_model, state_dim, expansion):
-    """Parameters saved by sharing within one pair."""
-    return 2 * expansion * d_model * state_dim

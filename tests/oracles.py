@@ -1,0 +1,252 @@
+"""Reference implementations the tests compare the package against.
+
+None of this runs outside the tests. The tape primitives (``sub``, ``neg``,
+``exp``, ``softplus``) are the building blocks of ``tape_selective_scan``,
+the primitive composition the fused scan node replaces. The time-invariant
+oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.SWEEPS``
+and ``ssm._zoh`` at call time, so it checks the sweeps and zero-order hold
+the model runs, and a test that patches them sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import mamba_fusion.ssm as ssm
+from mamba_fusion.autodiff import (
+    Tensor, _check_finite, _record, _sigmoid_np, _unbroadcast, add, concat,
+    div, matmul, mul, reshape, slicer, sum_,
+)
+
+
+# ---------------------------------------------------------------------------
+# Tape primitives
+# ---------------------------------------------------------------------------
+
+def sub(a, b):
+    out = Tensor(a.data - b.data)
+    _check_finite("sub", out.data)
+
+    def bwd(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    _record(out, (a, b), bwd)
+    return out
+
+
+def neg(a):
+    out = Tensor(-a.data)
+
+    def bwd(g):
+        return (-g,)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def exp(a):
+    out = Tensor(np.exp(a.data))
+    _check_finite("exp", out.data)
+
+    def bwd(g):
+        return (g * out.data,)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def softplus(a):
+    # log(1 + e^x) computed stably
+    out = Tensor(np.logaddexp(0.0, a.data))
+
+    def bwd(g):
+        return (g * _sigmoid_np(a.data),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tape-path oracles: the primitive compositions the fused nodes replace
+# ---------------------------------------------------------------------------
+
+def tape_selective_scan(u, params, mode):
+    length, channels = u.shape
+    n = params.state_dim
+    delta = softplus(add(matmul(u, params.w_delta), params.b_delta))
+    b_sel = matmul(u, params.w_b)
+    c_sel = matmul(u, params.w_c)
+    a = reshape(neg(exp(params.a_log)), (1, channels, n))
+    a_bar = exp(mul(reshape(delta, (length, channels, 1)), a))
+    b_bar = mul(div(sub(a_bar, Tensor(1.0)), a),
+                reshape(b_sel, (length, 1, n)))
+    bx = mul(b_bar, reshape(u, (length, channels, 1)))
+    recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
+        else ssm.linear_recurrence_parallel
+    h = recurrence(a_bar, bx)
+    y = sum_(mul(h, reshape(c_sel, (length, 1, n))), axis=2)
+    return add(y, mul(u, params.d_skip))
+
+
+def tape_conv_causal(u, weight, bias):
+    length, channels = u.shape
+    acc = None
+    for k in range(weight.shape[0]):
+        wk = slicer(weight, (slice(k, k + 1),))
+        if k == 0:
+            shifted = u
+        elif k >= length:
+            shifted = Tensor(np.zeros((length, channels)))
+        else:
+            pad = Tensor(np.zeros((k, channels)))
+            shifted = concat([pad, slicer(u, (slice(0, length - k),))],
+                             axis=0)
+        term = mul(shifted, wk)
+        acc = term if acc is None else add(acc, term)
+    return add(acc, bias)
+
+
+# ---------------------------------------------------------------------------
+# Sweep oracles
+# ---------------------------------------------------------------------------
+
+def whole_array_sweep(a, b):
+    """Doubling-stride sweep over the whole arrays, one level at a time."""
+    aa = a.copy()
+    h = b.copy()
+    d = 1
+    while d < a.shape[0]:
+        h[d:] = aa[d:] * h[:-d] + h[d:]
+        aa[d:] = aa[d:] * aa[:-d]
+        d *= 2
+    return h
+
+
+def reverse_sweep_adjoint(a, h, g, mode):
+    """The adjoint as that mode's forward sweep run over the time-reversed
+    shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
+    a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
+    lam = ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
+    da = np.zeros_like(a)
+    da[1:] = lam[1:] * h[:-1]
+    return da, lam
+
+
+# ---------------------------------------------------------------------------
+# Time-invariant scan
+# ---------------------------------------------------------------------------
+
+def discretize(a, b, delta):
+    """Exact zero-order-hold discretization for a diagonal state matrix.
+
+    a must be elementwise negative, delta elementwise positive; shapes
+    broadcast. Returns constant Tensors (a_bar, b_bar) with
+    a_bar = exp(delta*a) in (0, 1) and b_bar = ((exp(delta*a) - 1)/a) * b.
+    """
+    a_bar, q = ssm._zoh(np.asarray(a, dtype=np.float64),
+                        np.asarray(delta, dtype=np.float64))
+    return Tensor(a_bar), Tensor(q * np.asarray(b, dtype=np.float64))
+
+
+@dataclass
+class LTIParams:
+    """A fixed (non-selective) diagonal SSM: A (C,N) negative, B (N,),
+    C (N,), delta (C,) positive, d_skip (C,)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    delta: np.ndarray
+    d_skip: np.ndarray
+
+    def __post_init__(self):
+        self.a = np.atleast_2d(np.asarray(self.a, dtype=np.float64))
+        self.b = np.asarray(self.b, dtype=np.float64)
+        self.c = np.asarray(self.c, dtype=np.float64)
+        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
+        self.d_skip = np.atleast_1d(np.asarray(self.d_skip, dtype=np.float64))
+        self.discretized()  # _zoh rejects A >= 0 and delta <= 0
+
+    def discretized(self):
+        a_bar, q = ssm._zoh(self.a, self.delta[:, None])
+        return a_bar, q * self.b
+
+    @staticmethod
+    def random(rng, channels, state_dim):
+        return LTIParams(
+            a=-np.exp(rng.uniform(-1.0, 1.0, size=(channels, state_dim))),
+            b=rng.standard_normal(state_dim),
+            c=rng.standard_normal(state_dim),
+            delta=np.exp(rng.uniform(np.log(0.05), np.log(0.5), size=channels)),
+            d_skip=rng.standard_normal(channels),
+        )
+
+
+def lti_scan(x, params, mode):
+    """Time-invariant scan y = C h + D x of x (L,) or (L, C).
+
+    mode "recurrent" or "parallel" runs that mode's sweep from ``SWEEPS``,
+    the one the model runs; "kernel" convolves x with the global kernel
+    k_l = C a_bar^l b_bar, an independent evaluation to check them against.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    length, channels = x.shape
+    a_bar, b_bar = params.discretized()
+    if mode == "kernel":
+        # k[l, c] = sum_n c_n * a_bar^l * b_bar ; y = causal conv of x with k
+        powers = a_bar[None, :, :] ** np.arange(length)[:, None, None]
+        kern = (powers * b_bar[None, :, :]) @ params.c  # (L, C)
+        ys = np.empty((length, channels))
+        for t in range(length):
+            ys[t] = np.einsum("lc,lc->c", kern[: t + 1], x[t::-1])
+        return ys + params.d_skip * x
+    h = ssm.SWEEPS[mode](np.broadcast_to(a_bar, (length,) + a_bar.shape),
+                         b_bar * x[:, :, None])
+    return h @ params.c + params.d_skip * x
+
+
+# ---------------------------------------------------------------------------
+# Analytic parameter counts
+# ---------------------------------------------------------------------------
+
+def bimamba_param_count(d_model, state_dim, expansion, conv_width=4,
+                        count_state=True):
+    """Analytic parameter count of one bidirectional block.
+
+    With count_state False the two (channels x state_dim) state matrices
+    are excluded (the shared-storage case where another stream owns them).
+    """
+    inner = expansion * d_model
+    n = 2 * d_model                               # norm gamma/beta
+    n += d_model * 2 * inner + 2 * inner          # in projection
+    n += conv_width * inner + inner               # depthwise conv
+    per_dir = (inner * inner + inner              # delta selection
+               + 2 * inner * state_dim            # B and C selection
+               + inner)                           # d_skip
+    if count_state:
+        per_dir += inner * state_dim
+    n += 2 * per_dir
+    n += inner * d_model + d_model                # out projection
+    return n
+
+
+def shared_param_count(depth, d_model, state_dim, expansion, conv_width=4,
+                       share=True):
+    """Analytic parameter count of a context stack.
+
+    Sharing saves 2 * channels * state_dim parameters per pair (forward
+    plus backward state matrices of the partner stream).
+    """
+    full = bimamba_param_count(d_model, state_dim, expansion, conv_width)
+    partner = bimamba_param_count(d_model, state_dim, expansion, conv_width,
+                                  count_state=not share)
+    return depth * 2 * (full + partner)
+
+
+def sharing_saving(d_model, state_dim, expansion):
+    """Parameters saved by sharing within one pair."""
+    return 2 * expansion * d_model * state_dim

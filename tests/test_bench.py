@@ -11,7 +11,7 @@ from mamba_fusion.bench import (
 )
 from mamba_fusion.model import PRESETS, build_model
 from mamba_fusion.ssm import BiMamba, SSMParams, _selective_scan
-from mamba_fusion.tc_mamba import sharing_saving
+from oracles import LTIParams, bimamba_param_count, lti_scan, sharing_saving
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,6 @@ def test_unshared_model_count_rises_by_analytic_saving():
 
 
 def test_doubling_width_roughly_quadruples_block_params():
-    from mamba_fusion.tc_mamba import bimamba_param_count
     ratio = bimamba_param_count(64, 8, 2) / bimamba_param_count(32, 8, 2)
     assert 3.0 <= ratio <= 4.5
 
@@ -153,7 +152,6 @@ def test_wallclock_reports_median_and_iqr():
 
 def test_scan_growth_is_subquadratic_and_attention_superlinear():
     rng = np.random.default_rng(0)
-    from mamba_fusion.ssm import LTIParams, lti_scan
 
     def scan_time(length):
         params = LTIParams.random(rng, channels=16, state_dim=8)

@@ -164,6 +164,18 @@ def test_train_with_an_empty_split_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_empty_test_split_is_a_usage_error(tmp_path, capsys, command):
+    # 1 sample splits 1 / 0 / 0: nothing to evaluate
+    code = main([command, "--n", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{command} needs samples in the test split; got 0 test of 1" \
+        in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     code = main(["bench", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")])
@@ -348,6 +360,45 @@ def test_bad_dataset_manifest_is_io_error(workspace, tmp_path, capsys, old,
     err = capsys.readouterr().err
     assert code == 3
     assert key in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["labels", "unknown_text_vector"])
+def test_dataset_tensor_of_wrong_length_is_io_error(workspace, tmp_path,
+                                                    capsys, name):
+    from mamba_fusion import container
+    manifest, named = container.load_named(workspace / "data")
+    extra = [(k, v) for k, v in manifest.items()
+             if not k.startswith("tensor_")]
+    named = [(n, a[:-1] if n == name else a) for n, a in named]
+    container.save_named(tmp_path / "data", named, extra)
+    code = main(["eval", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"tensor {name}: expected" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1"],
+    ["eval", "--checkpoint", "CKPT"],
+])
+def test_dataset_that_does_not_fit_the_model_is_a_usage_error(
+        tmp_path, capsys, argv):
+    from mamba_fusion.cli import save_checkpoint
+    from mamba_fusion.model import build_model
+    assert main(["generate", "--preset", "sims", "--n", "4",
+                 "--out", str(tmp_path / "sims")]) == 0
+    save_checkpoint(build_model("desk", seed=0), tmp_path / "ckpt")
+    argv = [str(tmp_path / "ckpt") if a == "CKPT" else a for a in argv]
+    capsys.readouterr()
+    code = main(argv + ["--data", str(tmp_path / "sims"),
+                        "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "t_text 39 vs 16" in err and "d_audio 33 vs 8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_checkpoint_with_renamed_tensor_is_rejected(tmp_path):

@@ -139,20 +139,22 @@ def test_task_loss_gradient_is_two_diff_over_n():
                                [2 * (2 - 1) / 2, 2 * (4 - 2) / 2], rtol=1e-12)
 
 
+def _total(task, rec, lam):
+    return float(total_loss(Tensor(task), Tensor(rec), lam).data)
+
+
 def test_total_loss_values_and_linearity():
-    assert total_loss(2.5, 0.125, 0.0) == 2.5
-    assert total_loss(2.5, 0.125, 1.0) == 2.625
-    l1 = total_loss(1.0, 0.5, 0.3)
-    l2 = total_loss(1.0, 0.5, 0.6)
-    l3 = total_loss(1.0, 0.5, 0.9)
+    assert _total(2.5, 0.125, 0.0) == 2.5
+    assert _total(2.5, 0.125, 1.0) == 2.625
+    l1 = _total(1.0, 0.5, 0.3)
+    l2 = _total(1.0, 0.5, 0.6)
+    l3 = _total(1.0, 0.5, 0.9)
     np.testing.assert_allclose(l3 - l2, l2 - l1, rtol=1e-12)
-    out = total_loss(Tensor(2.5), Tensor(0.125), 1.0)
-    assert float(out.data) == 2.625
 
 
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, -0.1)
+        _total(1.0, 1.0, -0.1)
 
 
 # ---------------------------------------------------------------------------

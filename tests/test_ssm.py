@@ -7,56 +7,19 @@ import pytest
 
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div, exp,
-    finite_difference_check, flip_time, matmul, mul, neg, reshape, slicer,
-    softplus, sub, sum_,
+    MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
+    flip_time, mul, sum_,
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, LTIParams, SSMParams, _scan_adjoint, _scan_forward_parallel,
-    _selective_scan, depthwise_conv_causal, discretize,
-    linear_recurrence_parallel, linear_recurrence_sequential, lti_scan,
+    BiMamba, SSMParams, _scan_adjoint, _scan_forward_parallel,
+    _selective_scan, depthwise_conv_causal, linear_recurrence_parallel,
+    linear_recurrence_sequential,
 )
-
-
-# ---------------------------------------------------------------------------
-# Tape-path oracles: the primitive compositions the fused nodes replace
-# ---------------------------------------------------------------------------
-
-def tape_selective_scan(u, params, mode):
-    length, channels = u.shape
-    n = params.state_dim
-    delta = softplus(add(matmul(u, params.w_delta), params.b_delta))
-    b_sel = matmul(u, params.w_b)
-    c_sel = matmul(u, params.w_c)
-    a = reshape(neg(exp(params.a_log)), (1, channels, n))
-    a_bar = exp(mul(reshape(delta, (length, channels, 1)), a))
-    b_bar = mul(div(sub(a_bar, Tensor(1.0)), a),
-                reshape(b_sel, (length, 1, n)))
-    bx = mul(b_bar, reshape(u, (length, channels, 1)))
-    recurrence = linear_recurrence_sequential if mode == "recurrent" \
-        else linear_recurrence_parallel
-    h = recurrence(a_bar, bx)
-    y = sum_(mul(h, reshape(c_sel, (length, 1, n))), axis=2)
-    return add(y, mul(u, params.d_skip))
-
-
-def tape_conv_causal(u, weight, bias):
-    length, channels = u.shape
-    acc = None
-    for k in range(weight.shape[0]):
-        wk = slicer(weight, (slice(k, k + 1),))
-        if k == 0:
-            shifted = u
-        elif k >= length:
-            shifted = Tensor(np.zeros((length, channels)))
-        else:
-            pad = Tensor(np.zeros((k, channels)))
-            shifted = concat([pad, slicer(u, (slice(0, length - k),))],
-                             axis=0)
-        term = mul(shifted, wk)
-        acc = term if acc is None else add(acc, term)
-    return add(acc, bias)
+from oracles import (
+    LTIParams, discretize, lti_scan, reverse_sweep_adjoint, tape_conv_causal,
+    tape_selective_scan, whole_array_sweep,
+)
 
 
 def _grads_of(fn, inputs, weight):
@@ -192,6 +155,23 @@ def test_lti_scan_runs_the_models_sweeps(monkeypatch):
     assert calls == ["recurrent", "parallel"]
 
 
+def test_oracle_discretization_runs_the_models_zoh(monkeypatch):
+    calls = []
+
+    def counted(a, delta):
+        calls.append(np.shape(a))
+        return zoh(a, delta)
+
+    zoh = ssm._zoh
+    monkeypatch.setattr(ssm, "_zoh", counted)
+    discretize(np.array(-1.0), np.array(1.0), np.array(0.5))
+    params = LTIParams.random(np.random.default_rng(4), channels=2,
+                              state_dim=3)  # __post_init__ checks domains
+    params.discretized()
+    lti_scan(np.ones((4, 2)), params, "kernel")
+    assert calls == [(), (2, 3), (2, 3), (2, 3)]
+
+
 def test_lti_params_reject_bad_domains():
     with pytest.raises(ValueError, match="negative"):
         LTIParams(a=[[0.5]], b=[1.0], c=[1.0], delta=[0.1], d_skip=[0.0])
@@ -205,16 +185,6 @@ def test_recurrence_diverging_state_names_timestep():
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="timestep"):
             linear_recurrence_sequential(a, b)
-
-
-def reverse_sweep_adjoint(a, h, g, mode):
-    """The adjoint as that mode's forward sweep run over the time-reversed
-    shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
-    a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
-    lam = ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
-    da = np.zeros_like(a)
-    da[1:] = lam[1:] * h[:-1]
-    return da, lam
 
 
 @pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (2, 1, 1),
@@ -385,18 +355,6 @@ def test_scan_backward_peak_memory(mode):
     assert peak < 6.5 * full, f"peak {peak / full:.2f} full-size arrays"
 
 
-def whole_array_sweep(a, b):
-    """Doubling-stride sweep over the whole arrays, one level at a time."""
-    aa = a.copy()
-    h = b.copy()
-    d = 1
-    while d < a.shape[0]:
-        h[d:] = aa[d:] * h[:-d] + h[d:]
-        aa[d:] = aa[d:] * aa[:-d]
-        d *= 2
-    return h
-
-
 @pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (64, 4, 3),
                                    (50, 40, 12)])
 def test_blocked_parallel_sweep_is_bitwise_the_whole_array_sweep(
@@ -427,7 +385,6 @@ def test_shared_a_log_is_the_same_object():
     owner = SSMParams(4, 3, rng, name="owner")
     borrower = SSMParams(4, 3, rng, shared_a_log=owner.a_log, name="borrower")
     assert borrower.a_log is owner.a_log
-    assert owner.a_log not in borrower.own_parameters()
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,6 @@ def test_adamw_first_step_moves_against_gradient_by_lr():
     np.testing.assert_allclose(p.data, 1.0 - 0.01, rtol=1e-6)
 
 
-def test_adamw_skips_frozen_parameters():
-    p = Parameter(np.array([1.0]), trainable=False, name="frozen")
-    opt = AdamW([p], lr=0.1)
-    p.grad = np.array([5.0])
-    opt.step()
-    assert p.data[0] == 1.0
-
-
 def test_adamw_descends_a_quadratic():
     p = Parameter(np.array([4.0, -3.0]), name="p")
     opt = AdamW([p], lr=0.1, weight_decay=0.0)
