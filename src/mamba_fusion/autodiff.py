@@ -19,7 +19,7 @@ __all__ = [
     "no_grad",
     "backward",
     "finite_difference_check",
-    "unique_parameters",
+    "Module",
     "add", "mul", "div", "matmul", "silu", "relu", "softmax_lastdim",
     "l2_normalize_lastdim", "layer_norm", "flip_time", "concat", "sum_",
     "max_over_time", "slicer", "reshape", "transpose",
@@ -156,15 +156,25 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def unique_parameters(params):
-    """Deduplicate parameters by identity (shared storage counted once)."""
-    seen = set()
-    out = []
-    for p in params:
-        if id(p) not in seen:
-            seen.add(id(p))
-            out.append(p)
-    return out
+class Module:
+    """A model part whose Parameters are found through its attributes."""
+
+    def parameters(self):
+        """Every Parameter held by this module or a Module attribute (or a
+        list of them), in attribute order, each object once: a Parameter
+        shared by two modules is listed where it is first met."""
+        found = {}
+
+        def walk(module):
+            for value in vars(module).values():
+                for v in value if isinstance(value, list) else (value,):
+                    if isinstance(v, Parameter):
+                        found.setdefault(id(v), v)
+                    elif isinstance(v, Module):
+                        walk(v)
+
+        walk(self)
+        return list(found.values())
 
 
 def _check_finite(op_kind, *arrays):
@@ -451,7 +461,7 @@ def finite_difference_check(f, params, eps=1e-5, per_coordinate=None):
         raise ValueError("eps must be positive")
     if per_coordinate is not None and per_coordinate < 1:
         raise ValueError(f"per_coordinate must be >= 1, got {per_coordinate}")
-    params = unique_parameters(params)
+    params = list({id(p): p for p in params}.values())
     for p in params:
         p.zero_grad()
     with Tape():

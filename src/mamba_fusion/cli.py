@@ -56,10 +56,13 @@ def _coerce(name, value, fields, section):
                 f"{section}.{name}: {value!r} is not a boolean; use one of "
                 f"{', '.join(_BOOL_WORDS)}")
         return _BOOL_WORDS[word]
-    if current in ("int", int):
-        return int(value)
-    if current in ("float", float):
-        return float(value)
+    for kind in (int, float):
+        if current in (kind.__name__, kind):
+            try:
+                return kind(value)
+            except ValueError:
+                raise UsageError(f"{section}.{name}: expected "
+                                 f"{kind.__name__}, got {value!r}") from None
     return value
 
 
@@ -355,7 +358,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # the package's finiteness checks report a numeric fault in one
+        # line, so numpy's own overflow warnings would only add noise
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

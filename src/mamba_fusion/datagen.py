@@ -164,6 +164,9 @@ def load(directory):
     def tensor(name):
         if name not in arrays:
             raise container.ManifestKeyError(f"dataset has no tensor {name!r}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise container.ContainerError(
+                f"tensor {name!r} holds non-finite values")
         return arrays[name]
 
     splits = tuple(get(f"split_{k}", int) for k in ("train", "valid", "test"))

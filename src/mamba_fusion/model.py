@@ -9,11 +9,12 @@ bidirectional scan block is replaced by a self-attention block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, unique_parameters
+from .autodiff import Module, Tensor
 from .ssm import SCAN_MODES, BiMamba
 from .tc_mamba import TcStack
 from .tme import Aligner, TextReconstructor, enhance, recon_loss, \
@@ -61,11 +62,14 @@ class ModelConfig:
                     f"{name} must be >= 1, got {getattr(self, name)}")
         if self.tq_depth < 0:
             raise ValueError(f"tq_depth must be >= 0, got {self.tq_depth}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.label_low < self.label_high:
-            raise ValueError(f"label_low must be < label_high, got "
-                             f"{self.label_low} and {self.label_high}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        # a finite difference implies finite bounds; NaN fails both tests
+        if not (self.label_low < self.label_high
+                and math.isfinite(self.label_high - self.label_low)):
+            raise ValueError(
+                f"label_low must be < label_high, both finite and a finite "
+                f"distance apart, got {self.label_low} and {self.label_high}")
         if self.t_text != self.length:
             raise ValueError("aligned length must equal the text length")
         if self.d_model % self.heads != 0:
@@ -99,7 +103,7 @@ def _attention_stack(depth, d_model, heads, rng, name):
                        for i in range(depth))
 
 
-class _TransStreams:
+class _TransStreams(Module):
     """Per-stream self-attention stacks replacing the context pairs."""
 
     def __init__(self, depth, d_model, heads, rng):
@@ -107,15 +111,12 @@ class _TransStreams:
                                          f"tc_trans.{m}")
                         for m in ("t", "v", "a")]
 
-    def parameters(self):
-        return [p for stack in self.streams for p in stack.parameters()]
-
     def __call__(self, c_t, c_v, c_a):
         return tuple(stack(x) for stack, x in
                      zip(self.streams, (c_t, c_v, c_a)))
 
 
-class TextFusionModel:
+class TextFusionModel(Module):
     """End-to-end model from raw (possibly corrupted) features to a score."""
 
     def __init__(self, config: ModelConfig, seed=0):
@@ -143,13 +144,6 @@ class TextFusionModel:
                 for i in range(c.tq_depth))
         self.cross_attn = CrossAttention(c.d_model, c.heads, rng)
         self.head = FusionHead(c.d_model, rng)
-
-    def parameters(self):
-        ps = (self.align_t.parameters() + self.align_v.parameters()
-              + self.align_a.parameters() + self.reconstructor.parameters()
-              + self.context.parameters() + self.cross_attn.parameters()
-              + self.head.parameters() + self.latent.parameters())
-        return unique_parameters(ps)
 
     def forward(self, x_t, x_v, x_a, x_t_clean=None, p_t=None):
         """Run the model on one sample.
@@ -194,23 +188,32 @@ class TextFusionModel:
     # -- checkpointing ------------------------------------------------------
 
     def state_arrays(self):
-        """Ordered (name, array) pairs of unique parameters."""
+        """(name, array) pairs of the parameters, in ``parameters()`` order."""
         return [(p.name, p.data) for p in self.parameters()]
 
     def load_state_arrays(self, named):
-        params = self.parameters()
+        """Load (name, array) pairs in any order; each parameter's name must
+        appear exactly once with the parameter's shape."""
+        params = {p.name: p for p in self.parameters()}
         if len(named) != len(params):
             raise ValueError(
                 f"checkpoint has {len(named)} tensors, model has {len(params)}")
-        for p, (name, arr) in zip(params, named):
-            if name != p.name:
+        arrays = {}
+        for name, arr in named:
+            if name in arrays:
+                raise ValueError(f"name mismatch: checkpoint repeats {name!r}")
+            arrays[name] = arr
+        unknown = sorted(arrays.keys() - params.keys())
+        if unknown:
+            raise ValueError(
+                f"name mismatch: model has no tensor {unknown[0]!r}")
+        for name, p in params.items():
+            if arrays[name].shape != p.data.shape:
                 raise ValueError(
-                    f"name mismatch: checkpoint {name!r}, model {p.name!r}")
-            if p.data.shape != arr.shape:
-                raise ValueError(
-                    f"shape mismatch for {p.name}: checkpoint {arr.shape}, "
-                    f"model {p.data.shape}")
-            p.data = arr.astype(p.data.dtype)
+                    f"shape mismatch for {name}: checkpoint "
+                    f"{arrays[name].shape}, model {p.data.shape}")
+        for name, p in params.items():
+            p.data = arrays[name].astype(p.data.dtype)
 
 
 def build_model(preset="desk", seed=0, **overrides):

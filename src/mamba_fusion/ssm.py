@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, _check_finite, _count_macs, _record, _sigmoid_np, add,
-    flip_time, layer_norm, matmul, mul, no_grad, silu, slicer,
+    Module, Parameter, Tensor, _check_finite, _count_macs, _record,
+    _sigmoid_np, add, flip_time, layer_norm, matmul, mul, no_grad, silu,
+    slicer,
 )
 
 
@@ -159,27 +160,23 @@ def linear_recurrence_parallel(a_bar, bx):
 # Selective (input-dependent) SSM
 # ---------------------------------------------------------------------------
 
-class SSMParams:
+class SSMParams(Module):
     """Parameters of one selective scan direction.
 
     The continuous state matrix is stored as a_log with A = -exp(a_log),
     which keeps A strictly negative. The step size, input and output
     projections are functions of the current token (the selection
-    mechanism). a_log may be a shared Parameter owned by a paired stream.
+    mechanism). a_log is filled without the rng, so a paired stream can
+    replace it with its partner's Parameter after construction.
     """
 
-    def __init__(self, channels, state_dim, rng, shared_a_log=None, name=""):
+    def __init__(self, channels, state_dim, rng, name=""):
         self.channels = channels
         self.state_dim = state_dim
-        if shared_a_log is not None:
-            if shared_a_log.shape != (channels, state_dim):
-                raise ValueError("shared a_log shape mismatch")
-            self.a_log = shared_a_log
-        else:
-            # -A spans 1..N on every channel
-            init = np.log(np.tile(np.arange(1, state_dim + 1, dtype=np.float64),
-                                  (channels, 1)))
-            self.a_log = Parameter(init, name=f"{name}.a_log")
+        # -A spans 1..N on every channel
+        init = np.log(np.tile(np.arange(1, state_dim + 1, dtype=np.float64),
+                              (channels, 1)))
+        self.a_log = Parameter(init, name=f"{name}.a_log")
         s = 1.0 / np.sqrt(channels)
         self.w_delta = Parameter(_uniform(rng, (channels, channels), s),
                                  name=f"{name}.w_delta")
@@ -190,10 +187,6 @@ class SSMParams:
         self.w_c = Parameter(_uniform(rng, (channels, state_dim), s),
                              name=f"{name}.w_c")
         self.d_skip = Parameter(np.ones(channels), name=f"{name}.d_skip")
-
-    def parameters(self):
-        return [self.a_log, self.w_delta, self.b_delta,
-                self.w_b, self.w_c, self.d_skip]
 
 
 def _selective_scan(u, params, mode):
@@ -298,18 +291,16 @@ def depthwise_conv_causal(u, weight, bias):
     return out
 
 
-class BiMamba:
+class BiMamba(Module):
     """Pre-norm residual bidirectional selective-scan block.
 
     Forward and backward directions run over the original and time-flipped
-    sequence with separate SSM parameters (optionally shared state
-    matrices), share the input projection and causal conv, and are summed
-    before a sigmoid-weighted linear gate.
+    sequence with separate SSM parameters, share the input projection and
+    causal conv, and are summed before a sigmoid-weighted linear gate.
     """
 
     def __init__(self, d_model, state_dim, rng, expansion=2, conv_width=4,
-                 scan_mode="parallel", shared_a_log=None,
-                 shared_a_log_backward=None, name="bimamba"):
+                 scan_mode="parallel", name="bimamba"):
         if expansion < 1:
             raise ValueError("expansion factor must be >= 1")
         if scan_mode not in SCAN_MODES:
@@ -329,21 +320,12 @@ class BiMamba:
                                          1.0 / np.sqrt(conv_width)),
                                 name=f"{name}.conv_w")
         self.conv_b = Parameter(np.zeros(self.inner), name=f"{name}.conv_b")
-        self.fwd = SSMParams(self.inner, state_dim, rng,
-                             shared_a_log=shared_a_log, name=f"{name}.fwd")
-        self.bwd = SSMParams(self.inner, state_dim, rng,
-                             shared_a_log=shared_a_log_backward,
-                             name=f"{name}.bwd")
+        self.fwd = SSMParams(self.inner, state_dim, rng, name=f"{name}.fwd")
+        self.bwd = SSMParams(self.inner, state_dim, rng, name=f"{name}.bwd")
         s_out = 1.0 / np.sqrt(self.inner)
         self.w_out = Parameter(_uniform(rng, (self.inner, d_model), s_out),
                                name=f"{name}.w_out")
         self.b_out = Parameter(np.zeros(d_model), name=f"{name}.b_out")
-
-    def parameters(self):
-        ps = [self.norm_gamma, self.norm_beta, self.w_in, self.b_in,
-              self.conv_w, self.conv_b, self.w_out, self.b_out]
-        ps += self.fwd.parameters() + self.bwd.parameters()
-        return ps
 
     def branch(self, x):
         """Pre-residual branch output (gated bidirectional scan)."""

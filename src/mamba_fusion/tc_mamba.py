@@ -12,11 +12,11 @@ still differs per stream because the step size is input-dependent.
 
 from __future__ import annotations
 
-from .autodiff import Tensor, add, mul
+from .autodiff import Module, Tensor, add, mul
 from .ssm import BiMamba
 
 
-class SharedTransitionPair:
+class SharedTransitionPair(Module):
     """A text-stream block and a partner-stream block sharing state matrices.
 
     Sharing is structural: both streams' forward (and backward) SSMs hold
@@ -30,20 +30,17 @@ class SharedTransitionPair:
                  **block):
         self.text = BiMamba(d_model, state_dim, rng, name=f"{name}.text",
                             **block)
-        self.partner = BiMamba(
-            d_model, state_dim, rng,
-            shared_a_log=self.text.fwd.a_log if share else None,
-            shared_a_log_backward=self.text.bwd.a_log if share else None,
-            name=f"{name}.partner", **block)
-
-    def parameters(self):
-        return self.text.parameters() + self.partner.parameters()
+        self.partner = BiMamba(d_model, state_dim, rng,
+                               name=f"{name}.partner", **block)
+        if share:
+            self.partner.fwd.a_log = self.text.fwd.a_log
+            self.partner.bwd.a_log = self.text.bwd.a_log
 
     def __call__(self, c_t, other):
         return self.text(c_t), self.partner(other)
 
 
-class TcBlock:
+class TcBlock(Module):
     """One context block: a text<->visual pair and a text<->audio pair.
 
     ``pair`` holds the keyword arguments of ``SharedTransitionPair``.
@@ -55,9 +52,6 @@ class TcBlock:
         self.ta = SharedTransitionPair(d_model, state_dim, rng,
                                        name=f"{name}.ta", **pair)
 
-    def parameters(self):
-        return self.tv.parameters() + self.ta.parameters()
-
     def __call__(self, c_t, e_v, e_a):
         if not (c_t.shape == e_v.shape == e_a.shape):
             raise ValueError(
@@ -68,7 +62,7 @@ class TcBlock:
         return c_t_out, c_v, c_a
 
 
-class TcStack:
+class TcStack(Module):
     """Depth-stacked context blocks, each with its own parameters."""
 
     def __init__(self, depth, d_model, state_dim, rng, name="tc", **pair):
@@ -77,9 +71,6 @@ class TcStack:
         self.blocks = [TcBlock(d_model, state_dim, rng, name=f"{name}{i}",
                                **pair)
                        for i in range(depth)]
-
-    def parameters(self):
-        return [p for b in self.blocks for p in b.parameters()]
 
     def __call__(self, c_t, c_v, c_a):
         for block in self.blocks:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, add, div, l2_normalize_lastdim, matmul, mul, relu,
-    softmax_lastdim, sum_, transpose,
+    Module, Parameter, Tensor, add, div, l2_normalize_lastdim, matmul, mul,
+    relu, softmax_lastdim, sum_, transpose,
 )
 
 
@@ -41,7 +41,7 @@ def resample_matrix(t_in, t_out):
     return w
 
 
-class Aligner:
+class Aligner(Module):
     """Fixed linear time-resampling followed by a learned feature projection."""
 
     def __init__(self, t_in, d_in, length, d_model, rng, name="align"):
@@ -53,9 +53,6 @@ class Aligner:
         # to zero-norm tokens, which would break cosine similarity
         self.b = Parameter(rng.uniform(-0.01, 0.01, size=d_model),
                            name=f"{name}.b")
-
-    def parameters(self):
-        return [self.w, self.b]
 
     def __call__(self, x):
         if x.shape[0] < 1:
@@ -95,7 +92,7 @@ def enhance(h_x, s, m, h_t):
     return add(h_x, matmul(mul(m, s), h_t))
 
 
-class TextReconstructor:
+class TextReconstructor(Module):
     """Two linear layers with a ReLU, mapping L x D back to raw text features."""
 
     def __init__(self, d_model, d_raw, rng, name="recon"):
@@ -106,9 +103,6 @@ class TextReconstructor:
         self.w2 = Parameter(rng.uniform(-s1, s1, size=(d_model, d_raw)),
                             name=f"{name}.w2")
         self.b2 = Parameter(np.zeros(d_raw), name=f"{name}.b2")
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def __call__(self, h_t):
         hidden = relu(add(matmul(h_t, self.w1), self.b1))

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, add, concat, div, layer_norm, matmul, max_over_time,
-    reshape, softmax_lastdim, transpose,
+    Module, Parameter, Tensor, add, concat, div, layer_norm, matmul,
+    max_over_time, reshape, softmax_lastdim, transpose,
 )
 
 
-class CrossAttention:
+class CrossAttention(Module):
     """Pre-norm residual multi-head scaled dot-product attention.
 
     Cross-attention over ``keyvalue``, or self-attention over the query
@@ -38,10 +38,6 @@ class CrossAttention:
         self.w_v = Parameter(rng.uniform(-s, s, (d_model, d_model)), name=f"{name}.w_v")
         self.w_o = Parameter(rng.uniform(-s, s, (d_model, d_model)), name=f"{name}.w_o")
         self.b_o = Parameter(np.zeros(d_model), name=f"{name}.b_o")
-
-    def parameters(self):
-        return [self.norm_gamma, self.norm_beta,
-                self.w_q, self.w_k, self.w_v, self.w_o, self.b_o]
 
     def weights_and_values(self, query, keyvalue):
         """Every head's row-stochastic attention matrix, (H, L_q, L_kv), and
@@ -78,15 +74,12 @@ def text_query(attn, c_t, c_v, c_a):
     return attn(c_t, concat([c_v, c_a], axis=0))
 
 
-class LatentStack:
+class LatentStack(Module):
     """Blocks applied in sequence after the text query: bidirectional scan
     blocks, or self-attention blocks in the attention-substituted variant."""
 
     def __init__(self, blocks):
         self.blocks = list(blocks)
-
-    def parameters(self):
-        return [p for b in self.blocks for p in b.parameters()]
 
     def __call__(self, q_f):
         for block in self.blocks:
@@ -94,16 +87,13 @@ class LatentStack:
         return q_f
 
 
-class FusionHead:
+class FusionHead(Module):
     """Max pooling over time followed by a fully connected map to a scalar."""
 
     def __init__(self, d_model, rng, name="head"):
         s = 1.0 / np.sqrt(d_model)
         self.w = Parameter(rng.uniform(-s, s, (d_model, 1)), name=f"{name}.w")
         self.b = Parameter(np.zeros(1), name=f"{name}.b")
-
-    def parameters(self):
-        return [self.w, self.b]
 
     def __call__(self, f_z):
         pooled = max_over_time(f_z)

@@ -34,13 +34,15 @@ class TrainConfig:
     def __post_init__(self):
         # every rule is false for NaN, so NaN is rejected too
         for name, ok, rule in (
-                ("lr", self.lr > 0, "> 0"),
-                ("eps", self.eps > 0, "> 0"),
+                ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                ("eps", 0 < self.eps < math.inf, "finite and > 0"),
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf,
+                 "finite and >= 0"),
                 ("warmup_frac", 0 <= self.warmup_frac <= 1, "in [0, 1]"),
-                ("lambda_rec", self.lambda_rec >= 0, ">= 0")):
+                ("lambda_rec", 0 <= self.lambda_rec < math.inf,
+                 "finite and >= 0")):
             if not ok:
                 raise ValueError(
                     f"{name} must be {rule}, got {getattr(self, name)}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +140,23 @@ def test_help_still_exits_zero(capsys):
     (["train", "--set", "train.warmup_frac=1.5"], "warmup_frac"),
     (["train", "--set", "model.label_low=3"], "label_low"),
     (["bench", "--set", "model.label_low=nan"], "label_low"),
+    (["train", "--set", "model.label_high=inf"], "label_high"),
+    (["train", "--set", "model.label_low=-1e308",
+      "--set", "model.label_high=1e308"], "finite distance"),
+    (["bench", "--set", "model.tau=inf"], "tau"),
+    (["train", "--set", "train.lr=inf"], "lr"),
+    (["train", "--set", "train.eps=inf"], "eps"),
+    (["train", "--set", "train.weight_decay=inf"], "weight_decay"),
+    (["train", "--set", "train.lambda_rec=inf"], "lambda_rec"),
+    (["train", "--set", "train.epochs=1.5"], "train.epochs: expected int"),
+    (["bench", "--set", "model.tau=warm"], "model.tau: expected float"),
 ], ids=["heads", "d_model", "conv_width", "state_dim", "tau", "length",
         "batch_size", "epochs", "epochs-flag", "val_every", "lr", "lr-nan",
         "eps", "beta1", "beta2", "weight_decay", "warmup_frac-low",
-        "warmup_frac-high", "label_low", "label_low-nan"])
+        "warmup_frac-high", "label_low", "label_low-nan", "label_high-inf",
+        "label-span-overflows", "tau-inf", "lr-inf", "eps-inf",
+        "weight_decay-inf", "lambda_rec-inf", "epochs-not-int",
+        "tau-not-float"])
 def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
                                                         argv, word):
     code = main(argv + ["--n", "8"] * (argv[0] == "train")
@@ -151,6 +165,21 @@ def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
     assert code == 1
     assert word in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_numeric_failure_is_exit_2_in_one_line(tmp_path, capsys):
+    # a huge finite learning rate passes the config checks and then
+    # overflows the weights; numpy's own warnings are errors here, so none
+    # may escape the CLI either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--n", "8", "--epochs", "2",
+                     "--set", "train.lr=1e300", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err
 
 
 def test_train_with_an_empty_split_is_a_usage_error(tmp_path, capsys):
@@ -376,6 +405,23 @@ def test_dataset_tensor_of_wrong_length_is_io_error(workspace, tmp_path,
     err = capsys.readouterr().err
     assert code == 3
     assert f"tensor {name}: expected" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_dataset_with_a_non_finite_tensor_is_io_error(workspace, tmp_path,
+                                                       capsys, command):
+    from mamba_fusion import container
+    manifest, named = container.load_named(workspace / "data")
+    extra = [(k, v) for k, v in manifest.items()
+             if not k.startswith("tensor_")]
+    dict(named)["sample19.x_v"][3, 2] = np.inf
+    container.save_named(tmp_path / "data", named, extra)
+    code = main([command, "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "'sample19.x_v' holds non-finite values" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -152,6 +152,20 @@ def test_manifest_shape_mismatch_raises_shape_error(tmp_path):
         load(tmp_path / "data")
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("labels", np.nan), ("unknown_text_vector", np.inf),
+    ("sample1.x_t", -np.inf), ("sample0.x_a", np.nan)])
+def test_non_finite_tensor_raises_container_error(tmp_path, name, bad):
+    save(generate(2, seed=1), tmp_path / "data")
+    manifest, named = container.load_named(tmp_path / "data")
+    extra = [(k, v) for k, v in manifest.items()
+             if not k.startswith("tensor_")]
+    dict(named)[name].reshape(-1)[-1] = bad
+    container.save_named(tmp_path / "bad", named, extra)
+    with pytest.raises(container.ContainerError, match=f"'{name}'"):
+        load(tmp_path / "bad")
+
+
 def test_unsupported_dtype_code_rejected():
     buf = io.BytesIO()
     buf.write(struct.pack("<4sIII", container.MAGIC, container.VERSION, 9, 1))

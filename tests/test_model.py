@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Tape, backward, no_grad
+from mamba_fusion.autodiff import Module, Parameter, Tape, backward, no_grad
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
     CorruptionConfig, corrupt_batch, task_loss_tensor,
@@ -130,6 +130,57 @@ def test_every_parameter_receives_a_gradient(use_attention):
         idle = [p.name for p in model.parameters() if not np.any(p.grad)
                 and (clean_text or id(p) not in recon)]
         assert idle == []
+
+
+def _parameter_attributes(obj, out):
+    """Append every Parameter held by an attribute of ``obj`` or of a
+    Module reachable from it, once per holding attribute."""
+    for value in vars(obj).values():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, Parameter):
+                out.append(v)
+            elif isinstance(v, Module):
+                _parameter_attributes(v, out)
+    return out
+
+
+@pytest.mark.parametrize("overrides,shared", [
+    ({}, 4), ({"use_attention": True}, 0), ({"share_transitions": False}, 0)],
+    ids=["desk", "use_attention", "unshared"])
+def test_every_parameter_attribute_is_listed_exactly_once(overrides, shared):
+    model = build_model("desk", seed=0, **overrides)
+    params = model.parameters()
+    held = _parameter_attributes(model, [])
+    assert len({id(p) for p in params}) == len(params)
+    assert {id(p) for p in params} == {id(p) for p in held}
+    # each pair's two shared a_logs are held by both streams, listed once
+    assert len(held) - len(params) == shared
+
+
+def test_checkpoint_in_another_tensor_order_loads():
+    src = build_model("desk", seed=0)
+    dst = build_model("desk", seed=9)
+    dst.load_state_arrays(src.state_arrays()[::-1])
+    got = dict(dst.state_arrays())
+    for name, arr in src.state_arrays():
+        np.testing.assert_array_equal(got[name], arr)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda named: named[:1] + named[:-1], "repeats 'align_t.w'"),
+    (lambda named: [("bogus", named[0][1])] + named[1:],
+     "model has no tensor 'bogus'"),
+    (lambda named: named + named[:1], "116 tensors, model has 115"),
+], ids=["repeated", "unknown", "extra"])
+def test_checkpoint_names_must_match_the_model(edit, match):
+    model = build_model("desk", seed=0)
+    before = [arr.copy() for _, arr in model.state_arrays()]
+    named = [(n, arr + 1.0) for n, arr in model.state_arrays()]
+    with pytest.raises(ValueError, match=match):
+        model.load_state_arrays(edit(named))
+    # a rejected checkpoint leaves the model as it was
+    for (_, arr), old in zip(model.state_arrays(), before):
+        np.testing.assert_array_equal(arr, old)
 
 
 def test_state_round_trip_and_shape_check():

@@ -381,10 +381,17 @@ def test_ssm_params_invariants():
 
 
 def test_shared_a_log_is_the_same_object():
-    rng = np.random.default_rng(1)
-    owner = SSMParams(4, 3, rng, name="owner")
-    borrower = SSMParams(4, 3, rng, shared_a_log=owner.a_log, name="borrower")
+    # streams share a_log by assignment after construction; a_log is filled
+    # without the rng, so both start from the same values anyway
+    owner = SSMParams(4, 3, np.random.default_rng(1), name="owner")
+    borrower = SSMParams(4, 3, np.random.default_rng(1), name="borrower")
+    np.testing.assert_array_equal(borrower.a_log.data, owner.a_log.data)
+    borrower.a_log = owner.a_log
     assert borrower.a_log is owner.a_log
+    assert borrower.parameters()[0] is owner.a_log
+    assert [p.name for p in borrower.parameters()][1:] == [
+        f"borrower.{k}" for k in ("w_delta", "b_delta", "w_b", "w_c",
+                                  "d_skip")]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import (
-    Parameter, Tape, Tensor, backward, sum_, unique_parameters,
-)
+from mamba_fusion.autodiff import Tape, Tensor, backward, sum_
 from mamba_fusion.tc_mamba import SharedTransitionPair, TcBlock, TcStack
 from mamba_fusion.training import AdamW
 from oracles import bimamba_param_count, shared_param_count, sharing_saving
 
 
 def _param_count(obj):
-    return sum(p.size for p in unique_parameters(obj.parameters()))
+    return sum(p.size for p in obj.parameters())
 
 
 def test_shared_storage_is_structural():
@@ -28,6 +26,20 @@ def test_unshared_pair_has_distinct_storage():
     pair = SharedTransitionPair(6, 4, np.random.default_rng(0), expansion=1,
                                 share=False)
     assert pair.partner.fwd.a_log is not pair.text.fwd.a_log
+
+
+def test_sharing_leaves_every_initial_value_and_name_unchanged():
+    # the partner's a_log is replaced after both streams are built, so the
+    # rng stream, and with it every other initial value, is the same
+    shared = SharedTransitionPair(6, 4, np.random.default_rng(0), expansion=1)
+    unshared = SharedTransitionPair(6, 4, np.random.default_rng(0),
+                                    expansion=1, share=False)
+    by_name = {p.name: p.data for p in unshared.parameters()}
+    names = [p.name for p in shared.parameters()]
+    assert set(by_name) - set(names) == {"pair.partner.fwd.a_log",
+                                         "pair.partner.bwd.a_log"}
+    for p in shared.parameters():
+        np.testing.assert_array_equal(p.data, by_name[p.name])
 
 
 def test_selection_networks_stay_per_stream():
@@ -48,7 +60,7 @@ def test_shared_gradient_is_sum_of_isolated_stream_gradients():
                 pair.text.bwd.a_log.grad.copy())
 
     def zero_all():
-        for p in unique_parameters(pair.parameters()):
+        for p in pair.parameters():
             p.zero_grad()
 
     # joint loss touching both streams
@@ -76,7 +88,7 @@ def test_shared_gradient_is_sum_of_isolated_stream_gradients():
 def test_shared_values_stay_bitwise_identical_after_optimizer_step():
     rng = np.random.default_rng(3)
     pair = SharedTransitionPair(4, 3, np.random.default_rng(5), expansion=1)
-    params = unique_parameters(pair.parameters())
+    params = pair.parameters()
     opt = AdamW(params, lr=1e-2)
     x = Tensor(rng.standard_normal((5, 4)))
     for _ in range(3):
