@@ -129,7 +129,7 @@ def save_checkpoint(model, outdir):
     container.save_named(outdir, model.state_arrays(), extra)
 
 
-def load_checkpoint(directory, seed=0):
+def load_checkpoint(directory):
     manifest, named = container.load_named(directory)
     kw = {name: container.manifest_value(
               manifest, f"config_{name}",
@@ -139,9 +139,7 @@ def load_checkpoint(directory, seed=0):
         config = ModelConfig(**kw)
     except ValueError as e:
         raise container.ContainerError(f"checkpoint config: {e}") from None
-    model = TextFusionModel(config, seed=seed)
-    model.load_state_arrays(named)
-    return model
+    return TextFusionModel.from_state_arrays(config, named)
 
 
 def _shapes(model_cfg):

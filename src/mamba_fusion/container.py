@@ -42,13 +42,14 @@ class ManifestKeyError(ContainerError):
 
 
 def write_tensor(fh, array):
-    arr = np.ascontiguousarray(array)
+    arr = np.asarray(array)
     code = _DTYPE_CODES.get(arr.dtype)
     if code is None:
         raise ValueError(f"unsupported dtype {arr.dtype}")
     fh.write(struct.pack("<4sIII", MAGIC, VERSION, code, arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    # no copy when the array is already C-ordered little-endian
+    fh.write(np.asarray(arr, dtype=_DTYPES[code], order="C").data)
 
 
 def read_tensor(fh):
@@ -81,8 +82,12 @@ def read_tensor(fh):
     if n_bytes > remaining:
         raise TruncatedPayloadError(
             f"payload truncated: expected {n_bytes} bytes, {remaining} left")
-    payload = fh.read(n_bytes)
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    arr = np.empty(shape, dtype=dtype)
+    # numpy gives a 0-d array no byte view; its flattened (1,) form has one
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+        raise TruncatedPayloadError(
+            f"payload truncated: expected {n_bytes} bytes")
+    return arr
 
 
 def write_manifest(path, entries):

@@ -116,12 +116,32 @@ class _TransStreams(Module):
                      zip(self.streams, (c_t, c_v, c_a)))
 
 
+class _ZeroDraws:
+    """Stands in for the rng where a checkpoint replaces every initial value,
+    so building the modules draws nothing."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 class TextFusionModel(Module):
     """End-to-end model from raw (possibly corrupted) features to a score."""
 
     def __init__(self, config: ModelConfig, seed=0):
+        self._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def from_state_arrays(cls, config: ModelConfig, named):
+        """A model of ``config`` holding the (name, array) pairs of a
+        checkpoint, built without drawing any random numbers."""
+        model = cls.__new__(cls)
+        model._build(config, _ZeroDraws())
+        model.load_state_arrays(named)
+        return model
+
+    def _build(self, config, rng):
         self.config = config
-        rng = np.random.default_rng(seed)
         c = config
         self.align_t = Aligner(c.t_text, c.d_text, c.length, c.d_model, rng,
                                name="align_t")

@@ -157,17 +157,26 @@ def train(model, train_samples, cfg: TrainConfig, unknown_text_vector,
                     if not np.isfinite(loss.data):
                         raise FloatingPointError("non-finite loss")
                     backward(loss)
+                opt.lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_frac)
+                opt.step()
+                bad = next((p.name for p in params
+                            if not np.isfinite(p.data).all()), None)
+                if bad is not None:
+                    raise FloatingPointError(
+                        f"optimizer step made {bad} non-finite")
             except FloatingPointError as e:
                 raise FloatingPointError(
                     f"training aborted at step {step}: {e}") from e
-            opt.lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_frac)
-            opt.step()
             history["loss"].append(float(loss.data))
             history["task_loss"].append(task_val)
             history["lr"].append(opt.lr)
             step += 1
         if valid_samples and (epoch + 1) % cfg.val_every == 0:
-            mae = validation_mae(model, valid_samples)
+            try:
+                mae = validation_mae(model, valid_samples)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"training aborted at validation "
+                                         f"after step {step - 1}: {e}") from e
             history["val_mae"].append((epoch, mae))
             if mae < best_mae:
                 best_mae = mae

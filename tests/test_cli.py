@@ -182,6 +182,26 @@ def test_numeric_failure_is_exit_2_in_one_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("settings,message", [
+    # weights of about 1e300 overflow in the next forward pass
+    (["train.lr=1e300"], "training aborted at validation after step 0: "
+                         "matmul: non-finite"),
+    # the decay term overflows inside the optimizer step itself
+    (["train.lr=1e300", "train.weight_decay=1e10"],
+     "training aborted at step 0: optimizer step made align_t.w non-finite"),
+], ids=["validation", "optimizer"])
+def test_numeric_failure_in_training_names_the_step(tmp_path, capsys,
+                                                     settings, message):
+    argv = ["train", "--n", "8", "--epochs", "2", "--out", str(tmp_path / "o")]
+    for setting in settings:
+        argv += ["--set", setting]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"numeric failure: {message}")
+
+
 def test_train_with_an_empty_split_is_a_usage_error(tmp_path, capsys):
     # 2 samples split 1 / 0 / 1: nothing to select the best epoch on
     code = main(["train", "--n", "2", "--epochs", "1",
@@ -455,6 +475,30 @@ def test_checkpoint_with_renamed_tensor_is_rejected(tmp_path):
                    "tensor_0 align_v.w:")
     with pytest.raises(ValueError, match="name mismatch.*align_v.w"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    from mamba_fusion import model as model_module
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    model = model_module.build_model("sims", seed=2)
+    save_checkpoint(model, tmp_path / "ckpt")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    with monkeypatch.context() as m:
+        m.setattr(model_module.np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+    got = dict(loaded.state_arrays())
+    assert len(got) == len(model.state_arrays())
+    for name, arr in model.state_arrays():
+        np.testing.assert_array_equal(got[name], arr)
+    rng = np.random.default_rng(0)
+    c = model.config
+    x = [rng.standard_normal(shape) for shape in
+         [(c.t_text, c.d_text), (c.t_visual, c.d_visual),
+          (c.t_audio, c.d_audio)]]
+    assert loaded.predict(*x) == model.predict(*x)
 
 
 def test_checkpoint_with_retired_config_key_still_loads(tmp_path):

@@ -106,6 +106,31 @@ def test_tensor_round_trip_exact():
         assert np.array_equal(out, arr)
 
 
+_GEN = np.random.default_rng(4)
+
+
+@pytest.mark.parametrize("arr", [
+    _GEN.standard_normal((3, 4)),
+    _GEN.standard_normal((2, 3)).astype(np.float32),
+    np.array(-2.5),
+    np.zeros((0, 3)),
+    _GEN.standard_normal((2, 3, 4)),
+    _GEN.standard_normal((4, 5)).T,
+], ids=["float64", "float32", "0-d", "zero-size", "3-d", "transposed"])
+def test_tensor_bytes_are_header_then_c_order_payload(arr):
+    buf = io.BytesIO()
+    container.write_tensor(buf, arr)
+    code = {np.float64: 1, np.float32: 2}[arr.dtype.type]
+    assert buf.getvalue() == (
+        struct.pack("<4sIII", b"MFTN", 1, code, arr.ndim)
+        + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes())
+    buf.seek(0)
+    out = container.read_tensor(buf)
+    assert (out.dtype, out.shape) == (arr.dtype, arr.shape)
+    assert out.tobytes() == arr.tobytes()
+    assert buf.read() == b""
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     ds = generate(6, seed=13)
     save(ds, tmp_path / "data")
