@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: generate, train, eval, sweep, bench, gradcheck. Options come
-from an INI-style config file with [model]/[train]/[corruption] sections;
-command-line flags override config keys. Every run writes a
-resolved-config snapshot next to its artifacts.
+from an INI-style config file with [model] and [train] sections (any other
+section is a usage error); command-line flags override config keys. Every
+run writes a resolved-config snapshot next to its artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
 """
@@ -79,6 +79,12 @@ def load_config(path, preset="desk", overrides=()):
             read = parser.read(path)
             if not read:
                 raise FileNotFoundError(f"config file {path} not found")
+            unknown = [s for s in parser.sections()
+                       if s not in ("model", "train")]
+            if unknown:
+                raise UsageError(
+                    f"config file {path}: unknown section [{unknown[0]}]; "
+                    "valid sections: [model], [train]")
             if parser.has_option("model", "preset"):
                 preset = parser.get("model", "preset")
             for section, kw, fields in (("model", model_kw, _MODEL_FIELDS),

@@ -137,7 +137,8 @@ class TextFusionModel(Module):
         checkpoint, built without drawing any random numbers."""
         model = cls.__new__(cls)
         model._build(config, _ZeroDraws())
-        model.load_state_arrays(named)
+        # the arrays are the checkpoint reader's own, so the model keeps them
+        model._assign_state_arrays(named, np.asarray)
         return model
 
     def _build(self, config, rng):
@@ -212,8 +213,12 @@ class TextFusionModel(Module):
         return [(p.name, p.data) for p in self.parameters()]
 
     def load_state_arrays(self, named):
-        """Load (name, array) pairs in any order; each parameter's name must
-        appear exactly once with the parameter's shape."""
+        """Load copies of (name, array) pairs in any order, so the model
+        never aliases the caller's arrays; each parameter's name must appear
+        exactly once with the parameter's shape."""
+        self._assign_state_arrays(named, np.array)
+
+    def _assign_state_arrays(self, named, convert):
         params = {p.name: p for p in self.parameters()}
         if len(named) != len(params):
             raise ValueError(
@@ -233,7 +238,7 @@ class TextFusionModel(Module):
                     f"shape mismatch for {name}: checkpoint "
                     f"{arrays[name].shape}, model {p.data.shape}")
         for name, p in params.items():
-            p.data = arrays[name].astype(p.data.dtype)
+            p.data = convert(arrays[name], dtype=p.data.dtype)
 
 
 def build_model(preset="desk", seed=0, **overrides):

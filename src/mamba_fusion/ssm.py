@@ -189,14 +189,21 @@ class SSMParams(Module):
         self.d_skip = Parameter(np.ones(channels), name=f"{name}.d_skip")
 
 
+def _softplus(z):
+    """log(1 + e^z) in plain ufunc passes, finite for any finite z."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _selective_scan(u, params, mode):
     """One selective-scan direction over u (L, C) as a single tape node.
 
-    The forward runs the float operations of the primitive composition
-    softplus -> ZOH -> B_bar*u -> recurrence -> C readout + D skip in the
-    same order. Backward keeps only u, the step-size logits, B, C and the
-    states h, and recomputes exp(delta*A) and (exp(delta*A) - 1)/A (the
-    recomputation of Mamba, Gu & Dao 2023, section 3.3).
+    The forward runs the primitive composition softplus -> ZOH -> B_bar*u
+    -> recurrence -> C readout + D skip. The readout y_t = h_t C_t is one
+    stacked matrix-vector product over the state axis, as in Mamba's
+    reference scan (Gu & Dao 2023), not a broadcast multiply and a short
+    sum. Backward keeps only u, the step-size logits, B, C and the states
+    h, and recomputes the softplus, exp(delta*A) and (exp(delta*A) - 1)/A
+    (the recomputation of Mamba, section 3.3).
     """
     # the public recurrences are looked up at call time, so a wrapper put
     # on the module attribute sees every call
@@ -211,7 +218,7 @@ def _selective_scan(u, params, mode):
     z = x @ w_delta + b_delta
     b_sel = x @ w_b
     c_sel = x @ w_c
-    delta = np.logaddexp(0.0, z)[:, :, None]
+    delta = _softplus(z)[:, :, None]
     a_log = params.a_log.data
     a_bar, bx = _zoh(-np.exp(a_log), delta)
     bx *= b_sel[:, None, :]
@@ -221,12 +228,12 @@ def _selective_scan(u, params, mode):
         h = recurrence(Tensor(a_bar), Tensor(bx)).data
     del a_bar, bx
     _count_macs(h.size + x.size)
-    out = Tensor((h * c_sel[:, None, :]).sum(axis=2) + x * d_skip)
+    out = Tensor(np.matmul(h, c_sel[:, :, None])[:, :, 0] + x * d_skip)
     _check_finite("selective_scan", out.data)
 
     def bwd(g):
         a = -np.exp(a_log)
-        delta = np.logaddexp(0.0, z)
+        delta = _softplus(z)
         a_bar, q = _zoh(a, delta[:, :, None])
         # the fresh g * C is the adjoint's buffer
         da_bar, lam = _scan_adjoint(a_bar, h,

@@ -17,7 +17,7 @@ import numpy as np
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     Tensor, _check_finite, _record, _sigmoid_np, _unbroadcast, add, concat,
-    div, matmul, mul, reshape, slicer, sum_,
+    div, matmul, mul, reshape, slicer,
 )
 
 
@@ -58,8 +58,7 @@ def exp(a):
 
 
 def softplus(a):
-    # log(1 + e^x) computed stably
-    out = Tensor(np.logaddexp(0.0, a.data))
+    out = Tensor(ssm._softplus(a.data))
 
     def bwd(g):
         return (g * _sigmoid_np(a.data),)
@@ -86,8 +85,8 @@ def tape_selective_scan(u, params, mode):
     recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
         else ssm.linear_recurrence_parallel
     h = recurrence(a_bar, bx)
-    y = sum_(mul(h, reshape(c_sel, (length, 1, n))), axis=2)
-    return add(y, mul(u, params.d_skip))
+    y = matmul(h, reshape(c_sel, (length, n, 1)))
+    return add(reshape(y, (length, channels)), mul(u, params.d_skip))
 
 
 def tape_conv_causal(u, weight, bias):

@@ -136,6 +136,7 @@ def test_acceptance_02_discretization_exactness():
 # 3. Full-model gradient check
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_03_full_model_gradient_check():
     start = time.perf_counter()
     model = build_model("desk", seed=1)
@@ -302,6 +303,7 @@ def test_acceptance_06_corruption_protocol(synthetic_256):
 # 7. Toy-task learning
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_07_toy_task_learning(synthetic_256, trained_variants):
     ds = synthetic_256
     subset = ds.split("train")[:32]
@@ -336,6 +338,7 @@ def test_acceptance_07_toy_task_learning(synthetic_256, trained_variants):
 # 8. Ablation direction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_08_ablation_direction(synthetic_256, trained_variants):
     """Held-out MAE averaged over the missing-rate sweep (the same
     averaging the ablation comparison is defined over), mean over seeds.

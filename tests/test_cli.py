@@ -68,6 +68,21 @@ def test_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert "valid keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,section", [
+    ("[modle]\nd_model = 64\n", "modle"),
+    ("[model]\nd_model = 64\n[corruption]\nmode = missing\n", "corruption"),
+], ids=["misspelled", "corruption"])
+def test_unknown_config_section_is_a_usage_error(tmp_path, capsys, config,
+                                                 section):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"[{section}]" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("setting,word", [
     ("model.enhancement=flase", "flase"),
     ("model.scan_mode=paralel", "paralel"),
@@ -499,6 +514,26 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
          [(c.t_text, c.d_text), (c.t_visual, c.d_visual),
           (c.t_audio, c.d_audio)]]
     assert loaded.predict(*x) == model.predict(*x)
+
+
+def test_load_checkpoint_keeps_the_arrays_it_reads(tmp_path, monkeypatch):
+    from mamba_fusion import container
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    save_checkpoint(build_model("desk", seed=3), tmp_path / "ckpt")
+    read = []
+
+    def recording_read_tensor(fh, _read=container.read_tensor):
+        read.append(_read(fh))
+        return read[-1]
+
+    monkeypatch.setattr(container, "read_tensor", recording_read_tensor)
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    arrays = [arr for _, arr in loaded.state_arrays()]
+    assert len(read) == len(arrays)
+    # each parameter is one of the arrays the reader made, not a copy
+    for arr in arrays:
+        assert sum(np.shares_memory(arr, r) for r in read) == 1
 
 
 def test_checkpoint_with_retired_config_key_still_loads(tmp_path):

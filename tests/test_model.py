@@ -183,6 +183,24 @@ def test_checkpoint_names_must_match_the_model(edit, match):
         np.testing.assert_array_equal(arr, old)
 
 
+def test_loading_never_aliases_the_callers_arrays():
+    src = build_model("desk", seed=0)
+    dst = build_model("desk", seed=9)
+    dst.load_state_arrays(src.state_arrays())
+    for (name, theirs), (_, ours) in zip(src.state_arrays(),
+                                         dst.state_arrays()):
+        assert not np.shares_memory(ours, theirs), name
+
+
+def test_building_from_state_arrays_keeps_them():
+    src = build_model("desk", seed=0)
+    named = [(n, arr.copy()) for n, arr in src.state_arrays()]
+    model = TextFusionModel.from_state_arrays(src.config, named)
+    got = dict(model.state_arrays())
+    for name, arr in named:
+        assert got[name] is arr, name
+
+
 def test_state_round_trip_and_shape_check():
     src = build_model("desk", seed=0)
     dst = build_model("desk", seed=9)

@@ -314,6 +314,53 @@ def test_fused_scan_gradients_match_the_tape_path(mode, shape):
         np.testing.assert_allclose(g_f, g_t, rtol=1e-9, err_msg=t.name)
 
 
+def _logaddexp_sum_forward(u, params, mode):
+    """The scan forward with softplus as np.logaddexp and the readout as a
+    broadcast multiply summed over the state axis, and the summed magnitude
+    of each output's terms."""
+    x = u.data
+    z = x @ params.w_delta.data + params.b_delta.data
+    b_sel = x @ params.w_b.data
+    c_sel = x @ params.w_c.data
+    a_bar, bx = ssm._zoh(-np.exp(params.a_log.data),
+                         np.logaddexp(0.0, z)[:, :, None])
+    bx *= b_sel[:, None, :]
+    bx *= x[:, :, None]
+    h = ssm.SWEEPS[mode](a_bar, bx)
+    terms = h * c_sel[:, None, :]
+    skip = x * params.d_skip.data
+    # the magnitude of what each output sums, which bounds its rounding
+    scale = np.abs(terms).sum(axis=2) + np.abs(skip)
+    return terms.sum(axis=2) + skip, scale
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+@pytest.mark.parametrize("shape", [(16, 32, 8), (50, 512, 12), (39, 256, 16)],
+                         ids=["desk", "mosi", "sims"])
+def test_fused_scan_forward_is_close_to_the_logaddexp_sum_forward(mode,
+                                                                  shape):
+    # the stacked readout and the plain-pass softplus change only the float
+    # order of a sum and of one transcendental, so each output moves by a
+    # few ulps of the terms it sums; an output that cancels to near zero
+    # can move by more than 1e-12 of itself
+    params, u, _ = _scan_inputs(13, *shape)
+    old, scale = _logaddexp_sum_forward(u, params, mode)
+    err = np.abs(_selective_scan(u, params, mode).data - old)
+    assert np.all(err <= 1e-12 * scale), np.max(err / scale)
+
+
+def test_softplus_is_close_to_logaddexp():
+    # each grid's ends and the tiny grid's middle are the edge cases
+    z = np.concatenate([np.linspace(-700.0, 700.0, 20001),
+                        np.linspace(-30.0, 30.0, 6001),
+                        np.linspace(-1e-300, 1e-300, 11), [-0.0]])
+    np.testing.assert_allclose(ssm._softplus(z), np.logaddexp(0.0, z),
+                               rtol=1e-15, atol=0.0)
+    huge = ssm._softplus(np.array([1e308, -1e308]))
+    assert np.all(np.isfinite(huge))
+    np.testing.assert_array_equal(huge, [1e308, 0.0])
+
+
 def test_fused_scan_counts_the_tape_paths_multiplies():
     params, u, _ = _scan_inputs(9, 12, 5, 3)
     for mode in ("recurrent", "parallel"):

@@ -227,6 +227,7 @@ def test_head_invariant_to_time_permutation():
         np.testing.assert_array_equal(head(Tensor(f_z[perm])).data, base)
 
 
+@pytest.mark.slow
 def test_latent_depth_improves_toy_overfit():
     # paired training runs: depth-1 latent stack vs none on a tiny task
     from mamba_fusion.datagen import generate
