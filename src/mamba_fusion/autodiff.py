@@ -135,15 +135,34 @@ class Tensor:
         return mul(self, _lift(other))
 
 
+# Tensor's storage for ``grad``, which Parameter's property shadows
+_grad_slot = Tensor.grad
+
+
 class Parameter(Tensor):
-    """A trainable Tensor whose gradient persists across tapes until zeroed."""
+    """A trainable Tensor whose gradient persists across tapes until zeroed.
+
+    The zero gradient is allocated the first time ``grad`` is read, so a
+    model that is only built or loaded and then predicts holds no gradient
+    buffers."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name=""):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self):
+        g = _grad_slot.__get__(self)
+        if g is None:
+            g = np.zeros_like(self.data)
+            _grad_slot.__set__(self, g)
+        return g
+
+    @grad.setter
+    def grad(self, g):
+        _grad_slot.__set__(self, g)
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)

@@ -28,6 +28,11 @@ class UsageError(ValueError):
     pass
 
 
+class CheckpointMismatchError(container.ContainerError, ValueError):
+    """Checkpoint tensors that disagree with the checkpoint's own config:
+    an I/O error (exit 3) like any other bad container."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as one-line usage errors (exit 1) instead of
     argparse's usage dump and exit 2, which the exit codes reserve for
@@ -145,7 +150,11 @@ def load_checkpoint(directory):
         config = ModelConfig(**kw)
     except ValueError as e:
         raise container.ContainerError(f"checkpoint config: {e}") from None
-    return TextFusionModel.from_state_arrays(config, named)
+    try:
+        return TextFusionModel.from_state_arrays(config, named)
+    except ValueError as e:
+        raise CheckpointMismatchError(f"checkpoint {directory}: {e}") \
+            from None
 
 
 def _shapes(model_cfg):
@@ -259,6 +268,8 @@ def cmd_bench(args):
     model_cfg, train_cfg = load_config(args.config, args.preset, args.set)
     if args.length is not None and args.length < 1:
         raise UsageError(f"--length must be >= 1, got {args.length}")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     model = TextFusionModel(model_cfg, seed=args.seed)
     timing = None
     if args.time:
@@ -366,15 +377,16 @@ def main(argv=None):
         # line, so numpy's own overflow warnings would only add noise
         with np.errstate(all="ignore"):
             return args.fn(args)
+    # before ValueError: a CheckpointMismatchError is both
+    except (OSError, container.ContainerError) as e:
+        print(f"I/O error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except FloatingPointError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except (OSError, container.ContainerError) as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -118,11 +118,12 @@ class _TransStreams(Module):
 
 class _ZeroDraws:
     """Stands in for the rng where a checkpoint replaces every initial value,
-    so building the modules draws nothing."""
+    so building the modules draws nothing; each draw is a read-only
+    zero-stride placeholder that holds no memory of its size."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.zeros(size)
+        return np.broadcast_to(0.0, size)
 
 
 class TextFusionModel(Module):

@@ -107,15 +107,17 @@ def test_boolean_words_in_any_case(word, value):
     ("epochs = 3\n", ["bench"]),
     ("[train]\nepochs = 3\nepochs = 4\n", ["bench"]),
     (None, ["bench", "--time", "--reps", "0"]),
+    (None, ["bench", "--reps", "0"]),
     (None, ["gradcheck", "--per-coordinate", "0"]),
     (None, ["bench", "--preset", "foo"]),
     (None, ["bench", "--seed", "abc"]),
     (None, ["bench", "--bogus"]),
     (None, ["bogus"]),
     (None, []),
-], ids=["no-section-header", "repeated-key", "zero-reps", "zero-coordinates",
-        "unknown-preset", "non-integer-seed", "unknown-flag",
-        "unknown-subcommand", "no-subcommand"])
+], ids=["no-section-header", "repeated-key", "zero-reps",
+        "zero-reps-untimed", "zero-coordinates", "unknown-preset",
+        "non-integer-seed", "unknown-flag", "unknown-subcommand",
+        "no-subcommand"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "run.ini").write_text(config)
@@ -492,6 +494,26 @@ def test_checkpoint_with_renamed_tensor_is_rejected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("checkpoint", ["renamed-tensor", "dataset-dir"])
+def test_checkpoint_that_disagrees_with_its_config_is_io_error(
+        workspace, tmp_path, capsys, checkpoint):
+    from mamba_fusion.cli import save_checkpoint
+    from mamba_fusion.model import build_model
+    if checkpoint == "renamed-tensor":
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(build_model("desk", seed=0), ckpt)
+        _edit_manifest(ckpt, "tensor_0 align_t.w:", "tensor_0 align_v.w:")
+    else:
+        ckpt = workspace / "data"
+    code = main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "I/O error: checkpoint" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     from mamba_fusion import model as model_module
     from mamba_fusion.cli import load_checkpoint, save_checkpoint
@@ -534,6 +556,26 @@ def test_load_checkpoint_keeps_the_arrays_it_reads(tmp_path, monkeypatch):
     # each parameter is one of the arrays the reader made, not a copy
     for arr in arrays:
         assert sum(np.shares_memory(arr, r) for r in read) == 1
+
+
+def test_loaded_checkpoint_holds_one_copy_of_its_parameters(tmp_path):
+    # no gradient buffer and no second copy of the weights survives a load
+    import tracemalloc
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    save_checkpoint(build_model("sims", seed=2), tmp_path / "ckpt")
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_bytes = sum(p.data.nbytes for p in loaded.parameters())
+    assert held < 1.2 * n_bytes
+    assert peak < 1.3 * n_bytes
+    # every placeholder the model was built on was replaced
+    for p in loaded.parameters():
+        assert p.data.flags.writeable and 0 not in p.data.strides, p.name
 
 
 def test_checkpoint_with_retired_config_key_still_loads(tmp_path):

@@ -201,6 +201,19 @@ def test_building_from_state_arrays_keeps_them():
         assert got[name] is arr, name
 
 
+@pytest.mark.parametrize("preset", ["sims", "mosi"])
+def test_built_model_holds_no_gradient_buffers(preset):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        model = build_model(preset, seed=0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_bytes = sum(p.data.nbytes for p in model.parameters())
+    assert held < 1.2 * n_bytes
+
+
 def test_state_round_trip_and_shape_check():
     src = build_model("desk", seed=0)
     dst = build_model("desk", seed=9)
