@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 
+from .ssm import SCAN_MODES
+
 CONVENTION = "multiply-accumulates (1 MAC = 2 FLOPs)"
 
 
@@ -35,7 +37,7 @@ def macs_recurrence(length, channels, state_dim, mode):
     raise ValueError(f"unknown scan mode {mode!r}")
 
 
-def macs_selective_scan(length, channels, state_dim, mode="recurrent"):
+def macs_selective_scan(length, channels, state_dim, mode=SCAN_MODES[0]):
     """Multiplies in one selective-scan direction on an L x C input."""
     l, c, n = length, channels, state_dim
     macs = l * c * c          # step-size selection
@@ -49,7 +51,7 @@ def macs_selective_scan(length, channels, state_dim, mode="recurrent"):
 
 
 def macs_bimamba(length, d_model, expansion, state_dim, conv_width=4,
-                 mode="recurrent"):
+                 mode=SCAN_MODES[0]):
     l, d = length, d_model
     c = expansion * d
     macs = 2 * l * d                      # pre-norm
@@ -76,7 +78,7 @@ def macs_attention(l_q, l_kv, d_model, heads):
     return macs
 
 
-def model_macs(config, length=None, mode="recurrent"):
+def model_macs(config, length=None, mode=SCAN_MODES[0]):
     """Per-module MAC breakdown for one forward pass at sequence length L."""
     c = config
     l = length if length is not None else c.length

@@ -130,7 +130,7 @@ def write_resolved_config(outdir, model_cfg, train_cfg, extra=()):
                        dataclasses.asdict(train_cfg).items()}
     if extra:
         parser["run"] = {k: str(v) for k, v in extra}
-    with open(Path(outdir) / "resolved_config.ini", "w") as fh:
+    with container.atomic_open(Path(outdir) / "resolved_config.ini") as fh:
         parser.write(fh)
 
 
@@ -218,7 +218,7 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint")
-    (out / "loss.csv").write_text(training.loss_curve_csv(history))
+    container.write_text(out / "loss.csv", training.loss_curve_csv(history))
     write_resolved_config(out, model_cfg, train_cfg,
                           [("command", "train"), ("seed", train_cfg.seed)])
     print(f"trained {train_cfg.epochs} epochs; "
@@ -240,7 +240,8 @@ def cmd_eval(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     import json
-    (out / "metrics.json").write_text(json.dumps(row, indent=2, sort_keys=True))
+    container.write_text(out / "metrics.json",
+                         json.dumps(row, indent=2, sort_keys=True))
     write_resolved_config(out, model.config, train_cfg,
                           [("command", "eval"), ("rate", args.rate)])
     print(f"r={args.rate}: MAE {row['mae']:.4f} Corr {row['corr']:.4f}")
@@ -256,8 +257,8 @@ def cmd_sweep(args):
                                     scheme=_scheme(model.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(report.to_csv())
-    (out / "sweep.json").write_text(report.to_json())
+    container.write_text(out / "sweep.csv", report.to_csv())
+    container.write_text(out / "sweep.json", report.to_json())
     write_resolved_config(out, model.config, train_cfg,
                           [("command", "sweep")])
     print(report.to_csv())
@@ -282,7 +283,7 @@ def cmd_bench(args):
     report = bench.cost_report(model, length=args.length, timing=timing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cost_report.json").write_text(bench.report_json(report))
+    container.write_text(out / "cost_report.json", bench.report_json(report))
     write_resolved_config(out, model_cfg, train_cfg, [("command", "bench")])
     print(bench.report_table(report))
     return 0

@@ -3,13 +3,16 @@
 Each tensor record is a fixed 16-byte header (magic, version, dtype code,
 rank as little-endian uint32), followed by the extents as little-endian
 uint64 and the raw little-endian payload. A directory pairs one
-``tensors.bin`` with a ``manifest.txt`` of ``key value`` lines.
+``tensors.bin`` with a ``manifest.txt`` of ``key value`` lines. Every
+file the package writes goes through ``atomic_open``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -39,6 +42,26 @@ class ManifestShapeError(ContainerError):
 
 class ManifestKeyError(ContainerError):
     """A manifest entry is missing or cannot be parsed."""
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Write ``<path>.tmp`` and move it onto ``path`` when the block ends;
+    on an exception remove it, so ``path`` keeps its old contents (no
+    fsync: this guards against a failed write, not a power loss)."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text):
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_tensor(fh, array):
@@ -91,8 +114,7 @@ def read_tensor(fh):
 
 
 def write_manifest(path, entries):
-    lines = [f"{k} {v}" for k, v in entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "".join(f"{k} {v}\n" for k, v in entries))
 
 
 def read_manifest(path):
@@ -115,10 +137,11 @@ def save_named(directory, named_arrays, extra_manifest=()):
     for i, (name, arr) in enumerate(named_arrays):
         shape = "x".join(str(s) for s in np.asarray(arr).shape) or "scalar"
         entries.append((f"tensor_{i}", f"{name}:{shape}"))
-    write_manifest(d / "manifest.txt", entries)
-    with open(d / "tensors.bin", "wb") as fh:
+    # tensors first: a write that fails leaves the old pair in place
+    with atomic_open(d / "tensors.bin", "wb") as fh:
         for _, arr in named_arrays:
             write_tensor(fh, np.asarray(arr, dtype=np.float64))
+    write_manifest(d / "manifest.txt", entries)
 
 
 def manifest_value(manifest, key, parse):

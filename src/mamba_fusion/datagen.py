@@ -205,5 +205,4 @@ def load(directory):
 def export_labels_csv(dataset, path):
     lines = ["index,label"]
     lines += [f"{i},{s.y!r}" for i, s in enumerate(dataset.samples)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    container.write_text(path, "\n".join(lines) + "\n")

@@ -39,7 +39,7 @@ class ModelConfig:
     heads: int = 4
     tau: float = 0.07
     conv_width: int = 4
-    scan_mode: str = "parallel"
+    scan_mode: str = SCAN_MODES[0]
     # raw per-modality shapes (text length must equal `length`)
     t_text: int = 16
     d_text: int = 32

@@ -1,11 +1,12 @@
 """Selective state-space machinery.
 
 Zero-order-hold discretization (``_zoh``), one numpy sweep per evaluation
-order of the linear recurrence (``SWEEPS``: step by step, or a
-doubling-stride prefix scan) with one in-place backward-in-time sweep as
-the adjoint of both, the selective scan and the causal conv as
-fused tape nodes, and the bidirectional block every fusion stage is built
-from.
+order of the linear recurrence (``SWEEPS``) with one in-place
+backward-in-time sweep as the adjoint of both, the selective scan and the
+causal conv as fused tape nodes, and the bidirectional block every fusion
+stage is built from. The default order, "recurrent", sweeps step by step in
+L - 1 multiplies per column; the "parallel" doubling-stride prefix scan
+makes 2 L ceil(log2 L).
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -97,7 +98,8 @@ def _scan_forward_parallel(a, b):
 
 
 # Evaluation orders of the linear recurrence (BiMamba's scan_mode), each
-# with the numpy sweep that runs it.
+# with the numpy sweep that runs it; the first, SCAN_MODES[0], is the
+# default of BiMamba, ModelConfig and the bench formulas.
 SWEEPS = {"recurrent": _scan_forward_sequential,
           "parallel": _scan_forward_parallel}
 SCAN_MODES = tuple(SWEEPS)
@@ -307,7 +309,7 @@ class BiMamba(Module):
     """
 
     def __init__(self, d_model, state_dim, rng, expansion=2, conv_width=4,
-                 scan_mode="parallel", name="bimamba"):
+                 scan_mode=SCAN_MODES[0], name="bimamba"):
         if expansion < 1:
             raise ValueError("expansion factor must be >= 1")
         if scan_mode not in SCAN_MODES:

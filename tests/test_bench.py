@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import MacCounter, Tensor, no_grad
+from mamba_fusion.autodiff import MacCounter, Module, Tensor, no_grad
 from mamba_fusion.bench import (
     CONVENTION, cost_report, count_params, macs_attention,
     macs_attention_interaction, macs_bimamba, macs_selective_scan, model_macs,
     report_json, report_table, wallclock,
 )
-from mamba_fusion.model import PRESETS, build_model
-from mamba_fusion.ssm import BiMamba, SSMParams, _selective_scan
+from mamba_fusion.model import PRESETS, ModelConfig, build_model
+from mamba_fusion.ssm import SCAN_MODES, BiMamba, SSMParams, _selective_scan
 from oracles import LTIParams, bimamba_param_count, lti_scan, sharing_saving
 
 
@@ -44,10 +44,16 @@ def test_bimamba_macs_match_instrumented_count(cfg):
     assert counter.macs == macs_bimamba(length, d_model, expansion, state_dim)
 
 
-@pytest.mark.parametrize("preset", ["desk", "sims"])
+# the default order keeps the preset's plain id
+@pytest.mark.parametrize("preset,scan_mode", [
+    pytest.param(preset, mode,
+                 id=preset if mode == SCAN_MODES[0] else f"{preset}-{mode}")
+    for preset in ("desk", "sims") for mode in SCAN_MODES])
 @pytest.mark.parametrize("use_attention", [False, True])
-def test_model_macs_match_instrumented_forward(preset, use_attention):
-    model = build_model(preset, seed=0, use_attention=use_attention)
+def test_model_macs_match_instrumented_forward(preset, scan_mode,
+                                               use_attention):
+    model = build_model(preset, seed=0, use_attention=use_attention,
+                        scan_mode=scan_mode)
     c = model.config
     rng = np.random.default_rng(2)
     x_t = rng.standard_normal((c.t_text, c.d_text))
@@ -58,6 +64,28 @@ def test_model_macs_match_instrumented_forward(preset, use_attention):
     # without clean text the reconstructor does not run
     expected = model_macs(c, mode=c.scan_mode)
     assert counter.macs == expected["total"] - expected["reconstruct"]
+
+
+def _bimamba_blocks(module):
+    for value in vars(module).values():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, BiMamba):
+                yield v
+            elif isinstance(v, Module):
+                yield from _bimamba_blocks(v)
+
+
+def test_model_block_and_bench_share_one_default_scan_order():
+    default = ModelConfig().scan_mode
+    assert default == "recurrent"
+    blocks = list(_bimamba_blocks(build_model("desk", seed=0)))
+    assert len(blocks) == 5
+    assert {b.scan_mode for b in blocks} == {default}
+    assert BiMamba(4, 2, np.random.default_rng(0)).scan_mode == default
+    cfg = PRESETS["sims"]
+    assert model_macs(cfg) == model_macs(cfg, mode=default)
+    assert all(model_macs(cfg) != model_macs(cfg, mode=m)
+               for m in SCAN_MODES if m != default)
 
 
 # ---------------------------------------------------------------------------

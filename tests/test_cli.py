@@ -389,7 +389,7 @@ def _edit_manifest(directory, old, new):
     ("config_d_model 32", "config_d_model 3x2", "config_d_model"),
     ("config_enhancement True", "config_enhancement Ture",
      "config_enhancement"),
-    ("config_scan_mode parallel", "config_scan_mode paralel", "scan_mode"),
+    ("config_scan_mode recurrent", "config_scan_mode recurent", "scan_mode"),
     ("config_heads 4", "config_heads 0", "heads"),
     ("config_tau 0.07", "config_tau 0.0", "tau"),
     ("config_label_low -3.0", "config_label_low 3.0", "label_low"),
@@ -590,3 +590,78 @@ def test_checkpoint_with_retired_config_key_still_loads(tmp_path):
                      for i, shape in enumerate([(16, 32), (24, 16), (32, 8)]))
     assert load_checkpoint(tmp_path / "ckpt").predict(x_t, x_v, x_a) == \
         model.predict(x_t, x_v, x_a)
+
+
+def _corrupted_test_samples(cfg, n, seed):
+    from mamba_fusion import datagen, harness
+    from mamba_fusion.cli import _shapes
+    ds = datagen.generate(n, shapes=_shapes(cfg), seed=seed,
+                          label_range=(cfg.label_low, cfg.label_high),
+                          split_fracs=(0.0, 0.0, 1.0))
+    corruption = harness.CorruptionConfig(mode="test_fixed", rate=0.5,
+                                          seed=seed)
+    return harness.corrupt_batch(ds.split("test"), corruption,
+                                 ds.unknown_text_vector)
+
+
+def test_loaded_sims_model_agrees_with_its_other_scan_order(tmp_path):
+    # a loaded paper-scale model against a twin that runs the order the
+    # loaded model does not run, with the same weights
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    from mamba_fusion.ssm import SCAN_MODES
+    save_checkpoint(build_model("sims", seed=3), tmp_path / "ckpt")
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.config.scan_mode == "recurrent"
+    other, = (m for m in SCAN_MODES if m != loaded.config.scan_mode)
+    twin = build_model("sims", seed=4, scan_mode=other)
+    twin.load_state_arrays(loaded.state_arrays())
+    for s in _corrupted_test_samples(loaded.config, 2, seed=3):
+        a = loaded.predict(s.x_t, s.x_v, s.x_a)
+        b = twin.predict(s.x_t, s.x_v, s.x_a)
+        assert np.isfinite(a)
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0.0)
+
+
+def test_parallel_order_checkpoint_loads_and_predicts_in_that_order(
+        tmp_path):
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    model = build_model("desk", seed=1, scan_mode="parallel")
+    save_checkpoint(model, tmp_path / "ckpt")
+    manifest = (tmp_path / "ckpt" / "manifest.txt").read_text()
+    assert "config_scan_mode parallel\n" in manifest
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.config.scan_mode == "parallel"
+    assert loaded.latent.blocks[0].scan_mode == "parallel"
+    for s in _corrupted_test_samples(model.config, 2, seed=1):
+        assert loaded.predict(s.x_t, s.x_v, s.x_a) == \
+            model.predict(s.x_t, s.x_v, s.x_a)
+
+
+def test_failed_checkpoint_overwrite_keeps_the_old_checkpoint(
+        tmp_path, monkeypatch):
+    from mamba_fusion import container
+    from mamba_fusion.cli import load_checkpoint, save_checkpoint
+    from mamba_fusion.model import build_model
+    save_checkpoint(build_model("desk", seed=0), tmp_path / "ckpt")
+    samples = _corrupted_test_samples(PRESETS["desk"], 2, seed=0)
+    before = [load_checkpoint(tmp_path / "ckpt").predict(s.x_t, s.x_v, s.x_a)
+              for s in samples]
+    write_tensor = container.write_tensor
+    written = []
+
+    def fail_halfway(fh, array):
+        if len(written) == 20:
+            raise OSError("disk full")
+        written.append(1)
+        write_tensor(fh, array)
+
+    monkeypatch.setattr(container, "write_tensor", fail_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(build_model("desk", seed=5), tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
+        ["manifest.txt", "tensors.bin"]
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert [loaded.predict(s.x_t, s.x_v, s.x_a) for s in samples] == before
