@@ -21,7 +21,7 @@ __all__ = [
     "finite_difference_check",
     "Module",
     "add", "mul", "div", "matmul", "silu", "relu", "softmax_lastdim",
-    "l2_normalize_lastdim", "layer_norm", "flip_time", "concat", "sum_",
+    "l2_normalize_lastdim", "layer_norm", "flip_time", "concat",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
 
@@ -376,19 +376,6 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, splits, axis=axis))
 
     _record(out, tuple(tensors), bwd)
-    return out
-
-
-def sum_(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    _record(out, (a,), bwd)
     return out
 
 

@@ -5,7 +5,8 @@ zeros for audio/visual, the dataset's designated unknown-text vector for
 text. Training mode draws r per sample per modality from U[0, 1); test
 mode uses a fixed r in [0, 0.9]. RNG streams are split per
 (seed, epoch, sample, modality) so outcomes are reproducible and
-independent of evaluation order.
+independent of evaluation order. The task loss, the mean squared error of
+a batch's predictions, is one tape node over the per-sample predictions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, mul
+from .autodiff import Tensor, _check_finite, _record, add, mul
 
 MODALITIES = ("t", "v", "a")
 SWEEP_RATES = tuple(round(0.1 * i, 1) for i in range(10))
@@ -96,15 +97,22 @@ def corrupt_batch(samples, cfg, unknown_text_vector, epoch=0, index_offset=0):
 # ---------------------------------------------------------------------------
 
 def task_loss_tensor(y_hats, labels):
-    """Differentiable mean squared error from per-sample prediction Tensors."""
-    terms = []
-    for y_hat, y in zip(y_hats, labels):
-        diff = add(y_hat, Tensor(-float(y)))
-        terms.append(mul(diff, diff))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return mul(acc, Tensor(1.0 / len(terms)))
+    """Mean squared error of per-sample prediction Tensors, recorded as one
+    tape node; sample i's prediction receives the gradient 2 d_i / n."""
+    diffs = [y_hat.data - float(y) for y_hat, y in zip(y_hats, labels)]
+    acc = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        acc = acc + d * d
+    inv_n = 1.0 / len(diffs)
+    out = Tensor(acc * inv_n)
+    _check_finite("task_loss", out.data)
+
+    def bwd(g):
+        g_mean = g * inv_n
+        return tuple(2.0 * (g_mean * d) for d in diffs)
+
+    _record(out, tuple(y_hats), bwd)
+    return out
 
 
 def total_loss(task, rec, lam):

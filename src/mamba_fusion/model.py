@@ -23,14 +23,13 @@ from .tq_mamba import CrossAttention, FusionHead, LatentStack, text_query
 
 
 # integer fields that size an array or a stack; tq_depth may be 0
-_SIZE_FIELDS = ("length", "d_model", "state_dim", "expansion", "tc_depth",
-                "heads", "conv_width", "t_text", "d_text", "t_visual",
-                "d_visual", "t_audio", "d_audio")
+_SIZE_FIELDS = ("d_model", "state_dim", "expansion", "tc_depth", "heads",
+                "conv_width", "t_text", "d_text", "t_visual", "d_visual",
+                "t_audio", "d_audio")
 
 
 @dataclass
 class ModelConfig:
-    length: int = 16          # aligned sequence length, equals the text length
     d_model: int = 32
     state_dim: int = 8
     expansion: int = 1
@@ -40,7 +39,7 @@ class ModelConfig:
     tau: float = 0.07
     conv_width: int = 4
     scan_mode: str = SCAN_MODES[0]
-    # raw per-modality shapes (text length must equal `length`)
+    # raw per-modality shapes; the text length is the aligned length
     t_text: int = 16
     d_text: int = 32
     t_visual: int = 24
@@ -70,27 +69,30 @@ class ModelConfig:
             raise ValueError(
                 f"label_low must be < label_high, both finite and a finite "
                 f"distance apart, got {self.label_low} and {self.label_high}")
-        if self.t_text != self.length:
-            raise ValueError("aligned length must equal the text length")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
         if self.scan_mode not in SCAN_MODES:
             raise ValueError(f"unknown scan_mode {self.scan_mode!r}; "
                              f"choose from {', '.join(SCAN_MODES)}")
 
+    @property
+    def length(self):
+        """The aligned sequence length L, which is the text length."""
+        return self.t_text
+
 
 # Table-style presets; the desk preset is the default test scale.
 PRESETS = {
     "desk": ModelConfig(),
-    "mosi": ModelConfig(length=50, d_model=128, state_dim=12, expansion=4,
+    "mosi": ModelConfig(d_model=128, state_dim=12, expansion=4,
                         tc_depth=1, tq_depth=1, heads=8,
                         t_text=50, d_text=768, t_visual=500, d_visual=20,
                         t_audio=375, d_audio=5),
-    "mosei": ModelConfig(length=50, d_model=128, state_dim=12, expansion=4,
+    "mosei": ModelConfig(d_model=128, state_dim=12, expansion=4,
                          tc_depth=2, tq_depth=2, heads=8,
                          t_text=50, d_text=768, t_visual=500, d_visual=35,
                          t_audio=500, d_audio=74),
-    "sims": ModelConfig(length=39, d_model=128, state_dim=16, expansion=2,
+    "sims": ModelConfig(d_model=128, state_dim=16, expansion=2,
                         tc_depth=1, tq_depth=2, heads=8,
                         t_text=39, d_text=768, t_visual=55, d_visual=709,
                         t_audio=400, d_audio=33,

@@ -3,7 +3,8 @@
 Aligns every modality to a common L x D grid, enriches audio/visual tokens
 with text tokens selected by thresholded cosine similarity, and
 reconstructs raw text features at missing positions under a masked
-Smooth-L1 objective.
+Smooth-L1 objective, recorded as one tape node whose gradient is the
+clipped difference clip(d, -1, 1).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Module, Parameter, Tensor, add, div, l2_normalize_lastdim, matmul, mul,
-    relu, softmax_lastdim, sum_, transpose,
+    Module, Parameter, Tensor, _check_finite, _record, add, div,
+    l2_normalize_lastdim, matmul, mul, relu, softmax_lastdim, transpose,
 )
 
 
@@ -109,23 +110,14 @@ class TextReconstructor(Module):
         return add(matmul(hidden, self.w2), self.b2)
 
 
-def smooth_l1(diff):
-    """Elementwise Smooth-L1 with beta = 1 (0.5 d^2 inside, |d| - 0.5 outside)."""
-    d = diff.data
-    quad = np.abs(d) < 1.0
-    # Branch chosen per element from the forward value; both branches are
-    # expressed through the tape so gradients follow the active branch.
-    inside = mul(mul(diff, diff), Tensor(np.where(quad, 0.5, 0.0)))
-    sign = Tensor(np.where(quad, 0.0, np.sign(d)))
-    outside = add(mul(diff, sign), Tensor(np.where(quad, 0.0, -0.5)))
-    return add(inside, outside)
-
-
 def recon_loss(x_t_clean, x_tilde, p_t):
-    """Mean Smooth-L1 over missing text positions (p_t == 0) and features.
+    """Mean Smooth-L1 (beta = 1) over missing text positions (p_t == 0) and
+    features, as one tape node.
 
-    Exactly zero when every position is observed, and the gradient with
-    respect to x_tilde vanishes at observed positions.
+    With d = (x_tilde - x_t_clean) * gate, gate 1 at missing positions, a
+    cell costs 0.5 d^2 where |d| < 1 and |d| - 0.5 elsewhere. The gradient
+    with respect to x_tilde is clip(d, -1, 1) * gate, so it vanishes at
+    observed positions; the loss is exactly zero when all are observed.
     """
     if x_t_clean.shape != x_tilde.shape:
         raise ValueError("recon_loss: prediction/target shape mismatch")
@@ -133,8 +125,16 @@ def recon_loss(x_t_clean, x_tilde, p_t):
     n_missing = missing.sum()
     if n_missing == 0:
         return Tensor(0.0)
-    gate = Tensor(missing[:, None])
-    diff = mul(add(x_tilde, mul(x_t_clean, Tensor(-1.0))), gate)
-    per_cell = smooth_l1(diff)
-    total = sum_(mul(per_cell, gate))
-    return mul(total, Tensor(1.0 / (n_missing * x_tilde.shape[1])))
+    gate = missing[:, None]
+    scale = 1.0 / (n_missing * x_tilde.shape[1])
+    d = (x_tilde.data - x_t_clean.data) * gate
+    abs_d = np.abs(d)
+    cell = np.where(abs_d < 1.0, d * d * 0.5, abs_d - 0.5)
+    out = Tensor((cell * gate).sum() * scale)
+    _check_finite("recon_loss", out.data)
+
+    def bwd(g):
+        return ((g * scale) * gate * np.clip(d, -1.0, 1.0) * gate,)
+
+    _record(out, (x_tilde,), bwd)
+    return out

@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 None of this runs outside the tests. The tape primitives (``sub``, ``neg``,
-``exp``, ``softplus``) are the building blocks of ``tape_selective_scan``,
-the primitive composition the fused scan node replaces. The time-invariant
+``exp``, ``softplus``, ``sum_``) are the building blocks of the tape-path
+oracles: ``tape_selective_scan``, the primitive composition the fused scan
+node replaces, and ``tape_recon_loss`` and ``tape_task_loss``, the
+compositions the one-node loss terms replace. The time-invariant
 oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.SWEEPS``
 and ``ssm._zoh`` at call time, so it checks the sweeps and zero-order hold
 the model runs, and a test that patches them sees every call.
@@ -67,6 +69,19 @@ def softplus(a):
     return out
 
 
+def sum_(a, axis=None, keepdims=False):
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tape-path oracles: the primitive compositions the fused nodes replace
 # ---------------------------------------------------------------------------
@@ -87,6 +102,41 @@ def tape_selective_scan(u, params, mode):
     h = recurrence(a_bar, bx)
     y = matmul(h, reshape(c_sel, (length, n, 1)))
     return add(reshape(y, (length, channels)), mul(u, params.d_skip))
+
+
+def smooth_l1(diff):
+    """Elementwise Smooth-L1 with beta = 1 (0.5 d^2 inside, |d| - 0.5 outside)."""
+    d = diff.data
+    quad = np.abs(d) < 1.0
+    # Branch chosen per element from the forward value; both branches are
+    # expressed through the tape so gradients follow the active branch.
+    inside = mul(mul(diff, diff), Tensor(np.where(quad, 0.5, 0.0)))
+    sign = Tensor(np.where(quad, 0.0, np.sign(d)))
+    outside = add(mul(diff, sign), Tensor(np.where(quad, 0.0, -0.5)))
+    return add(inside, outside)
+
+
+def tape_recon_loss(x_t_clean, x_tilde, p_t):
+    missing = 1.0 - np.asarray(p_t, dtype=np.float64).reshape(-1)
+    n_missing = missing.sum()
+    if n_missing == 0:
+        return Tensor(0.0)
+    gate = Tensor(missing[:, None])
+    diff = mul(add(x_tilde, mul(x_t_clean, Tensor(-1.0))), gate)
+    per_cell = smooth_l1(diff)
+    total = sum_(mul(per_cell, gate))
+    return mul(total, Tensor(1.0 / (n_missing * x_tilde.shape[1])))
+
+
+def tape_task_loss(y_hats, labels):
+    terms = []
+    for y_hat, y in zip(y_hats, labels):
+        diff = add(y_hat, Tensor(-float(y)))
+        terms.append(mul(diff, diff))
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = add(acc, t)
+    return mul(acc, Tensor(1.0 / len(terms)))
 
 
 def tape_conv_causal(u, weight, bias):

@@ -17,7 +17,7 @@ import pytest
 import conftest
 
 from mamba_fusion.autodiff import (
-    Parameter, Tape, Tensor, backward, finite_difference_check, sum_,
+    Parameter, Tape, Tensor, backward, finite_difference_check,
 )
 from mamba_fusion.bench import (
     count_params, macs_attention_interaction, macs_selective_scan, model_macs,
@@ -34,7 +34,7 @@ from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
 from mamba_fusion.training import TrainConfig, train, validation_mae, _batch_loss
 from oracles import (
     LTIParams, bimamba_param_count, discretize, lti_scan, shared_param_count,
-    sharing_saving,
+    sharing_saving, sum_,
 )
 
 

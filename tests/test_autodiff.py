@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mamba_fusion
+from mamba_fusion import autodiff
 from mamba_fusion.autodiff import (
     MacCounter, Parameter, Tape, Tensor, add, backward, concat, div,
     finite_difference_check, flip_time, l2_normalize_lastdim, layer_norm,
     matmul, max_over_time, mul, no_grad, relu, reshape, silu, slicer,
-    softmax_lastdim, sum_, transpose,
+    softmax_lastdim, transpose,
 )
-from oracles import exp, neg, softplus, sub
+from oracles import exp, neg, softplus, sub, sum_
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +332,9 @@ def test_parameter_grad_starts_zero():
     p = Parameter(np.ones((2, 2)))
     assert p.grad.shape == (2, 2)
     assert np.all(p.grad == 0.0)
+
+
+@pytest.mark.parametrize("module", [autodiff, mamba_fusion],
+                         ids=lambda m: m.__name__)
+def test_every_public_name_resolves(module):
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -138,7 +138,7 @@ def test_breakdown_sums_to_total():
 
 def test_param_count_independent_of_length():
     a = build_model("desk", seed=0)
-    b = build_model("desk", seed=0, length=32, t_text=32)
+    b = build_model("desk", seed=0, t_text=32)
     assert count_params(a) == count_params(b)
 
 

@@ -86,6 +86,7 @@ def test_unknown_config_section_is_a_usage_error(tmp_path, capsys, config,
 @pytest.mark.parametrize("setting,word", [
     ("model.enhancement=flase", "flase"),
     ("model.scan_mode=paralel", "paralel"),
+    ("model.length=8", "'length'"),   # follows t_text; not a key
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, setting, word):
     code = main(["bench", "--set", setting, "--out", str(tmp_path / "o")])
@@ -93,6 +94,13 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, setting, word):
     assert code == 1
     assert word in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_text_length_alone_sets_the_aligned_length(tmp_path):
+    model_cfg, _ = load_config(None, "desk", ["model.t_text=8"])
+    assert model_cfg.length == 8
+    assert main(["bench", "--set", "model.t_text=8",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("word,value", [("OFF", False), ("0", False),
@@ -579,17 +587,19 @@ def test_loaded_checkpoint_holds_one_copy_of_its_parameters(tmp_path):
 
 
 def test_checkpoint_with_retired_config_key_still_loads(tmp_path):
-    # checkpoints written before threshold_scale was removed carry its key
+    # checkpoints written before threshold_scale was removed, or before the
+    # aligned length followed t_text, carry those keys
     from mamba_fusion.cli import load_checkpoint, save_checkpoint
     from mamba_fusion.model import build_model
     model = build_model("desk", seed=0)
-    save_checkpoint(model, tmp_path / "ckpt")
-    _edit_manifest(tmp_path / "ckpt", "config_tau ",
-                   "config_threshold_scale 1.0\nconfig_tau ")
     x_t, x_v, x_a = (np.random.default_rng(i).standard_normal(shape)
                      for i, shape in enumerate([(16, 32), (24, 16), (32, 8)]))
-    assert load_checkpoint(tmp_path / "ckpt").predict(x_t, x_v, x_a) == \
-        model.predict(x_t, x_v, x_a)
+    for retired in ("config_threshold_scale 1.0", "config_length 16"):
+        ckpt = tmp_path / retired.split()[0]
+        save_checkpoint(model, ckpt)
+        _edit_manifest(ckpt, "config_tau ", f"{retired}\nconfig_tau ")
+        assert load_checkpoint(ckpt).predict(x_t, x_v, x_a) == \
+            model.predict(x_t, x_v, x_a)
 
 
 def _corrupted_test_samples(cfg, n, seed):

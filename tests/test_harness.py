@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Parameter, Tensor, finite_difference_check
+from mamba_fusion.autodiff import (
+    Parameter, Tape, Tensor, backward, finite_difference_check, mul,
+)
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
     SWEEP_RATES, CorruptionConfig, MetricsReport, corrupt_batch,
     corrupt_sample, evaluate_sweep, metrics, pearson, task_loss_tensor,
     total_loss,
 )
+from oracles import tape_task_loss
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,32 @@ def test_task_loss_gradient_is_two_diff_over_n():
     assert err < 1e-6
     np.testing.assert_allclose([float(p.grad) for p in preds],
                                [2 * (2 - 1) / 2, 2 * (4 - 2) / 2], rtol=1e-12)
+
+
+def _task_value_and_grads(loss_fn, preds, labels):
+    ps = [Parameter(np.asarray(v), name=f"p{i}") for i, v in enumerate(preds)]
+    with Tape():
+        loss = loss_fn(ps, labels)
+        backward(mul(loss, Tensor(0.37)))
+    return loss.data, [p.grad for p in ps]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_task_loss_node_equals_tape_composition(n):
+    rng = np.random.default_rng(n)
+    preds = 3.0 * rng.standard_normal(n)
+    labels = list(rng.uniform(-3.0, 3.0, size=n))
+    node = _task_value_and_grads(task_loss_tensor, preds, labels)
+    tape = _task_value_and_grads(tape_task_loss, preds, labels)
+    np.testing.assert_array_equal(node[0], tape[0])
+    np.testing.assert_array_equal(node[1], tape[1])
+
+
+def test_task_loss_records_one_tape_node():
+    preds = [Parameter(np.asarray(v)) for v in (0.5, -1.0, 2.0)]
+    with Tape() as tape:
+        task_loss_tensor(preds, [0.0, 1.0, 1.5])
+    assert len(tape.records) == 1
 
 
 def _total(task, rec, lam):

@@ -19,7 +19,6 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_runs_and_is_correct(workload, trace):

@@ -8,7 +8,7 @@ import pytest
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
-    flip_time, mul, sum_,
+    flip_time, mul,
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
@@ -17,8 +17,8 @@ from mamba_fusion.ssm import (
     linear_recurrence_sequential,
 )
 from oracles import (
-    LTIParams, discretize, lti_scan, reverse_sweep_adjoint, tape_conv_causal,
-    tape_selective_scan, whole_array_sweep,
+    LTIParams, discretize, lti_scan, reverse_sweep_adjoint, sum_,
+    tape_conv_causal, tape_selective_scan, whole_array_sweep,
 )
 
 

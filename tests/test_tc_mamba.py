@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Tape, Tensor, backward, sum_
+from mamba_fusion.autodiff import Tape, Tensor, backward
 from mamba_fusion.tc_mamba import SharedTransitionPair, TcBlock, TcStack
 from mamba_fusion.training import AdamW
-from oracles import bimamba_param_count, shared_param_count, sharing_saving
+from oracles import (
+    bimamba_param_count, shared_param_count, sharing_saving, sum_,
+)
 
 
 def _param_count(obj):

@@ -4,12 +4,14 @@ masked text reconstruction loss."""
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Parameter, Tape, Tensor, add, backward, sum_
+from mamba_fusion.autodiff import (
+    Parameter, Tape, Tensor, add, backward, finite_difference_check, mul,
+)
 from mamba_fusion.tme import (
     Aligner, TextReconstructor, enhance, recon_loss, resample_matrix,
-    smooth_l1, threshold_mask, token_similarity,
+    threshold_mask, token_similarity,
 )
-from mamba_fusion.autodiff import finite_difference_check
+from oracles import smooth_l1, sum_, tape_recon_loss
 
 
 # ---------------------------------------------------------------------------
@@ -285,4 +287,53 @@ def test_smooth_l1_gradient_matches_finite_differences():
     d[np.abs(np.abs(d) - 1.0) < 0.05] = 0.5   # stay off the branch seam
     p = Parameter(d, name="d")
     err = finite_difference_check(lambda: sum_(smooth_l1(p)), [p])
+    assert err < 1e-4
+
+
+def _recon_value_and_grad(loss_fn, clean, pred, p_t):
+    # an upstream weight other than 1, as training's batch mean and lambda give
+    x_tilde = Parameter(pred, name="x_tilde")
+    with Tape():
+        loss = loss_fn(Tensor(clean), x_tilde, p_t)
+        backward(mul(loss, Tensor(0.37)))
+    return loss.data, x_tilde.grad
+
+
+@pytest.mark.parametrize("seed,observed", [
+    (0, 0.4), (1, 0.4), (2, 0.0), (3, 0.8), (5, 0.7), (4, 1.0)])
+def test_recon_loss_node_equals_tape_composition(seed, observed):
+    # `observed` is the share of text positions observed: some rows all
+    # observed, none, or every row (a loss of exactly zero)
+    rng = np.random.default_rng(seed)
+    length, d_raw = (int(v) for v in rng.integers(1, 13, size=2))
+    clean = rng.standard_normal((length, d_raw))
+    # |d| spans both Smooth-L1 branches
+    pred = clean + 2.0 * rng.standard_normal((length, d_raw))
+    # |d| == 1 exactly, where the linear branch starts
+    clean[0, 0], pred[0, 0] = 0.25, 1.25
+    clean[-1, -1], pred[-1, -1] = 0.5, -0.5
+    p_t = (rng.random(length) < observed).astype(float)
+    node = _recon_value_and_grad(recon_loss, clean, pred, p_t)
+    tape = _recon_value_and_grad(tape_recon_loss, clean, pred, p_t)
+    np.testing.assert_array_equal(node[0], tape[0])
+    np.testing.assert_array_equal(node[1], tape[1])
+
+
+def test_recon_loss_records_one_tape_node():
+    rng = np.random.default_rng(20)
+    with Tape() as tape:
+        recon_loss(Tensor(rng.standard_normal((6, 4))),
+                   Parameter(rng.standard_normal((6, 4))),
+                   np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]))
+    assert len(tape.records) == 1
+
+
+def test_recon_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    clean = Tensor(rng.standard_normal((6, 4)))
+    d = rng.standard_normal((6, 4)) * 2.0
+    d[np.abs(np.abs(d) - 1.0) < 0.05] = 0.5   # stay off the branch seam
+    pred = Parameter(clean.data + d, name="pred")
+    p_t = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    err = finite_difference_check(lambda: recon_loss(clean, pred, p_t), [pred])
     assert err < 1e-4

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Parameter, Tape, backward, sum_, mul
+from mamba_fusion.autodiff import Parameter, Tape, backward, mul
 from mamba_fusion.datagen import generate
 from mamba_fusion.model import build_model
 from mamba_fusion.training import (
     AdamW, TrainConfig, loss_curve_csv, lr_at, train, validation_mae,
 )
+from oracles import sum_
 
 
 # ---------------------------------------------------------------------------
