@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: generate, train, eval, sweep, bench, gradcheck. Options come
-from an INI-style config file with [model] and [train] sections (any other
-section is a usage error); command-line flags override config keys. Every
-run writes a resolved-config snapshot next to its artifacts.
+from an INI-style config file with [model] and [train] sections;
+command-line flags override config keys. Every run writes a resolved-config
+snapshot next to its artifacts, with a [run] section that records the
+command; a config file may carry that section, which is ignored, so a
+snapshot can be fed back as --config. Any other section is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
 """
@@ -84,8 +86,9 @@ def load_config(path, preset="desk", overrides=()):
             read = parser.read(path)
             if not read:
                 raise FileNotFoundError(f"config file {path} not found")
+            # [run] is what write_resolved_config records about the run
             unknown = [s for s in parser.sections()
-                       if s not in ("model", "train")]
+                       if s not in ("model", "train", "run")]
             if unknown:
                 raise UsageError(
                     f"config file {path}: unknown section [{unknown[0]}]; "

@@ -35,8 +35,10 @@ def _zoh(a, delta):
     """Exact zero-order hold for a diagonal state matrix, in numpy.
 
     Returns a_bar = exp(delta*a) and q = (a_bar - 1)/a, so that
-    b_bar = q*b. a must be elementwise negative, delta elementwise
-    positive; shapes broadcast.
+    b_bar = q*b, as two fresh arrays of the broadcast shape. a must be
+    elementwise negative, delta elementwise positive. The selective scan
+    passes a as (N, C) and delta as (L, 1, C), so both come out
+    state-major, (L, N, C).
     """
     if np.any(a >= 0):
         raise ValueError("discretize: state matrix must be strictly negative")
@@ -55,10 +57,14 @@ def _zoh(a, delta):
 def _scan_forward_sequential(a, b):
     h = np.empty_like(b)
     h[0] = b[0]
+    row = np.empty_like(b[0])
     for t in range(1, a.shape[0]):
-        h[t] = a[t] * h[t - 1] + b[t]
-    finite = np.isfinite(h).reshape(len(h), -1).all(axis=1)
-    if not finite.all():
+        np.multiply(a[t], h[t - 1], out=row)
+        np.add(row, b[t], out=h[t])
+    # a non-finite state stays non-finite through every later step (0 * inf
+    # is nan), so the last row catches every failure
+    if not np.all(np.isfinite(h[-1])):
+        finite = np.isfinite(h).reshape(len(h), -1).all(axis=1)
         raise FloatingPointError(
             f"recurrence diverged at timestep {int(np.argmin(finite))}")
     return h
@@ -105,19 +111,28 @@ SWEEPS = {"recurrent": _scan_forward_sequential,
 SCAN_MODES = tuple(SWEEPS)
 
 
-def _scan_adjoint(a, h, lam):
+def _adjoint_sweep(a, lam):
     # lam holds g on entry and is swept backward in time in place into the
     # adjoint state lam_t = g_t + a_{t+1} * lam_{t+1}, step by step in either
-    # scan mode; db = lam, da_t = lam_t * h_{t-1} and da_0 = 0
+    # scan mode; db = lam
     length = a.shape[0]
+    row = np.empty_like(lam[0])
     for t in range(length - 2, -1, -1):
-        lam[t] += a[t + 1] * lam[t + 1]
-    finite = np.isfinite(lam).reshape(length, -1).all(axis=1)
-    if not finite.all():
+        np.multiply(a[t + 1], lam[t + 1], out=row)
+        lam[t] += row
+    # as in the forward sweep, the first row catches every failure
+    if not np.all(np.isfinite(lam[0])):
+        finite = np.isfinite(lam).reshape(length, -1).all(axis=1)
         # the sweep runs backward, so the latest bad timestep failed first
         raise FloatingPointError(
             "recurrence adjoint diverged at timestep "
             f"{length - 1 - int(np.argmin(finite[::-1]))}")
+    return lam
+
+
+def _scan_adjoint(a, h, lam):
+    """The adjoint sweep over lam, and da_t = lam_t * h_{t-1}, da_0 = 0."""
+    _adjoint_sweep(a, lam)
     da = np.empty_like(a)
     da[0] = 0.0
     np.multiply(lam[1:], h[:-1], out=da[1:])
@@ -200,12 +215,16 @@ def _selective_scan(u, params, mode):
     """One selective-scan direction over u (L, C) as a single tape node.
 
     The forward runs the primitive composition softplus -> ZOH -> B_bar*u
-    -> recurrence -> C readout + D skip. The readout y_t = h_t C_t is one
-    stacked matrix-vector product over the state axis, as in Mamba's
-    reference scan (Gu & Dao 2023), not a broadcast multiply and a short
-    sum. Backward keeps only u, the step-size logits, B, C and the states
-    h, and recomputes the softplus, exp(delta*A) and (exp(delta*A) - 1)/A
-    (the recomputation of Mamba, section 3.3).
+    -> recurrence -> C readout + D skip. Every full-size array is
+    state-major, (L, N, C), so each broadcast runs along a contiguous row
+    of C channels; A is a_log's (C, N) transposed at call time. The readout
+    y_t = C_t h_t is one stacked vector-matrix product over the state axis,
+    as in Mamba's reference scan (Gu & Dao 2023). Backward keeps only u,
+    the step-size logits, B, C and the states h, and recomputes
+    exp(delta*A) (the recomputation of Mamba, section 3.3). Since
+    h_t = A_bar_t h_{t-1} + B_bar_t u_t and B_bar = (A_bar - 1)/A * B, the
+    gradient with respect to delta*A is lam * (h + B*u/A), with lam the
+    adjoint state.
     """
     # the public recurrences are looked up at call time, so a wrapper put
     # on the module attribute sees every call
@@ -220,43 +239,45 @@ def _selective_scan(u, params, mode):
     z = x @ w_delta + b_delta
     b_sel = x @ w_b
     c_sel = x @ w_c
-    delta = _softplus(z)[:, :, None]
+    delta = _softplus(z)[:, None, :]
     a_log = params.a_log.data
-    a_bar, bx = _zoh(-np.exp(a_log), delta)
-    bx *= b_sel[:, None, :]
-    bx *= x[:, :, None]
+    a_bar, bx = _zoh(-np.exp(a_log.T.copy()), delta)
+    bx *= b_sel[:, :, None]
+    bx *= x[:, None, :]
     _count_macs(4 * bx.size)
     with no_grad():
         h = recurrence(Tensor(a_bar), Tensor(bx)).data
     del a_bar, bx
     _count_macs(h.size + x.size)
-    out = Tensor(np.matmul(h, c_sel[:, :, None])[:, :, 0] + x * d_skip)
+    out = Tensor(np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip)
     _check_finite("selective_scan", out.data)
 
     def bwd(g):
-        a = -np.exp(a_log)
+        a = -np.exp(a_log.T.copy())
         delta = _softplus(z)
-        a_bar, q = _zoh(a, delta[:, :, None])
-        # the fresh g * C is the adjoint's buffer
-        da_bar, lam = _scan_adjoint(a_bar, h,
-                                    g[:, :, None] * c_sel[:, None, :])
-        # bx = q * B * u
-        lam_q = lam * q
-        du = g * d_skip + np.matmul(lam_q, b_sel[:, :, None])[:, :, 0]
-        db = np.matmul(x[:, None, :], lam_q)[:, 0, :]
-        # dq = lam * B * u; q = (a_bar - 1)/a; a_bar = exp(delta * a)
-        lam *= b_sel[:, None, :]
-        lam *= x[:, :, None]
-        lam /= a
-        da = -np.einsum("lcn,lcn->cn", lam, q)
-        da_bar += lam
-        da_bar *= a_bar
-        da += np.einsum("lcn,lc->cn", da_bar, delta)
-        dz = np.einsum("lcn,cn->lc", da_bar, a) * _sigmoid_np(z)
-        dc = np.matmul(g[:, None, :], h)[:, 0, :]
+        e = np.multiply(delta[:, None, :], a)
+        np.exp(e, out=e)
+        lam = _adjoint_sweep(e, g[:, None, :] * c_sel[:, :, None])
+        # e becomes p = lam * (e - 1)/a, the gradient of bx / (B * u)
+        e -= 1.0
+        e /= a
+        e *= lam
+        db = np.matmul(e, x[:, :, None])[:, :, 0]
+        du = g * d_skip + np.matmul(b_sel[:, None, :], e)[:, 0, :]
+        # w = B * u / a becomes lam * (h + w), the gradient of delta * a
+        w = b_sel[:, :, None] * x[:, None, :]
+        w /= a
+        da = -np.einsum("lnc,lnc->nc", e, w)
+        del e
+        w += h
+        w *= lam
+        del lam
+        da += np.einsum("lnc,lc->nc", w, delta)
+        dz = np.einsum("lnc,nc->lc", w, a) * _sigmoid_np(z)
+        dc = np.matmul(h, g[:, :, None])[:, :, 0]
         du += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
-        return (du, x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc, da * a,
-                (g * x).sum(axis=0))
+        return (du, x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc,
+                (da * a).T, (g * x).sum(axis=0))
 
     _record(out, (u, params.w_delta, params.b_delta, params.w_b, params.w_c,
                   params.a_log, params.d_skip), bwd)

@@ -19,7 +19,7 @@ import numpy as np
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     Tensor, _check_finite, _record, _sigmoid_np, _unbroadcast, add, concat,
-    div, matmul, mul, reshape, slicer,
+    div, matmul, mul, reshape, slicer, transpose,
 )
 
 
@@ -87,20 +87,23 @@ def sum_(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 def tape_selective_scan(u, params, mode):
+    """The selective scan as tape primitives, state-major like the fused
+    node: A is a_log transposed to (1, N, C) and every full-size array is
+    (L, N, C)."""
     length, channels = u.shape
     n = params.state_dim
     delta = softplus(add(matmul(u, params.w_delta), params.b_delta))
     b_sel = matmul(u, params.w_b)
     c_sel = matmul(u, params.w_c)
-    a = reshape(neg(exp(params.a_log)), (1, channels, n))
-    a_bar = exp(mul(reshape(delta, (length, channels, 1)), a))
+    a = reshape(transpose(neg(exp(params.a_log))), (1, n, channels))
+    a_bar = exp(mul(reshape(delta, (length, 1, channels)), a))
     b_bar = mul(div(sub(a_bar, Tensor(1.0)), a),
-                reshape(b_sel, (length, 1, n)))
-    bx = mul(b_bar, reshape(u, (length, channels, 1)))
+                reshape(b_sel, (length, n, 1)))
+    bx = mul(b_bar, reshape(u, (length, 1, channels)))
     recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
         else ssm.linear_recurrence_parallel
     h = recurrence(a_bar, bx)
-    y = matmul(h, reshape(c_sel, (length, n, 1)))
+    y = matmul(reshape(c_sel, (length, 1, n)), h)
     return add(reshape(y, (length, channels)), mul(u, params.d_skip))
 
 

@@ -83,6 +83,23 @@ def test_unknown_config_section_is_a_usage_error(tmp_path, capsys, config,
     assert not (tmp_path / "o").exists()
 
 
+def test_resolved_config_of_a_run_feeds_back_as_config(tmp_path, capsys):
+    settings = ["model.tq_depth=2", "model.scan_mode=parallel",
+                "model.enhancement=false", "train.lr=0.002",
+                "train.seed=5", "train.epochs=1"]
+    flags = [word for s in settings for word in ("--set", s)]
+    assert main(["train", "--n", "8", *flags,
+                 "--out", str(tmp_path / "run")]) == 0
+    resolved = tmp_path / "run" / "resolved_config.ini"
+    assert "[run]" in resolved.read_text()
+    configs = load_config(resolved)
+    assert configs == load_config(None, "desk", settings)
+    assert main(["bench", "--config", str(resolved),
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert load_config(tmp_path / "bench" / "resolved_config.ini") == configs
+
+
 @pytest.mark.parametrize("setting,word", [
     ("model.enhancement=flase", "flase"),
     ("model.scan_mode=paralel", "paralel"),

@@ -8,12 +8,12 @@ import pytest
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
-    flip_time, mul,
+    flip_time, mul, no_grad,
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, SSMParams, _scan_adjoint, _scan_forward_parallel,
-    _selective_scan, depthwise_conv_causal, linear_recurrence_parallel,
+    BiMamba, SSMParams, _adjoint_sweep, _scan_adjoint, _scan_forward_parallel,
+    _scan_forward_sequential, _selective_scan, depthwise_conv_causal, linear_recurrence_parallel,
     linear_recurrence_sequential,
 )
 from oracles import (
@@ -226,6 +226,58 @@ def test_recurrence_diverging_adjoint_names_timestep():
             _scan_adjoint(a, np.ones_like(a), g)
 
 
+def _plant_divergence(case, length=12, t0=5):
+    """Transitions and inputs of a (length, 3, 4) sweep whose column (1, 2)
+    goes non-finite at timestep t0: a nan, or an inf that the next exact-zero
+    transition turns into 0 * inf = nan."""
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.2, 1.0, size=(length, 3, 4))
+    b = rng.standard_normal((length, 3, 4))
+    if case == "nan":
+        b[t0, 1, 2] = np.nan
+    else:
+        b[t0, 1, 2] = np.inf
+        a[t0 + 1, 1, 2] = 0.0
+        # the adjoint sweep carries lam_t0 into lam_{t0-1} through a_t0
+        a[t0, 1, 2] = 0.0
+    return a, b
+
+
+def _bad_rows(x):
+    return ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf-then-zero"])
+def test_forward_sweep_row_check_names_the_full_checks_timestep(case):
+    a, b = _plant_divergence(case)
+    h = np.empty_like(b)
+    h[0] = b[0]
+    with np.errstate(invalid="ignore"):
+        for t in range(1, len(a)):
+            h[t] = a[t] * h[t - 1] + b[t]
+        # the full check names the first non-finite timestep
+        first = int(np.argmax(_bad_rows(h)))
+        assert first == 5 and _bad_rows(h)[first:].all()
+        with pytest.raises(FloatingPointError,
+                           match=f"diverged at timestep {first}$"):
+            _scan_forward_sequential(a, b)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf-then-zero"])
+def test_adjoint_sweep_row_check_names_the_full_checks_timestep(case):
+    a, g = _plant_divergence(case)
+    lam = g.copy()
+    with np.errstate(invalid="ignore"):
+        for t in range(len(a) - 2, -1, -1):
+            lam[t] = g[t] + a[t + 1] * lam[t + 1]
+        # the full check names the latest non-finite timestep
+        last = len(a) - 1 - int(np.argmax(_bad_rows(lam)[::-1]))
+        assert last == 5 and _bad_rows(lam)[:last + 1].all()
+        with pytest.raises(FloatingPointError,
+                           match=f"adjoint diverged at timestep {last}$"):
+            _adjoint_sweep(a, g.copy())
+
+
 def test_stability_bound_on_random_instances():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -290,7 +342,9 @@ def _scan_inputs(seed, length, channels, state_dim):
     return params, u, rng.standard_normal((length, channels))
 
 
-SCAN_SHAPES = [(10, 6, 5), (1, 3, 2), (17, 4, 3), (33, 8, 4)]
+# the last three are the desk, sims and mosi scan shapes
+SCAN_SHAPES = [(10, 6, 5), (1, 3, 2), (17, 4, 3), (33, 8, 4), (16, 32, 8),
+               (39, 256, 16), (50, 512, 12)]
 
 
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
@@ -382,24 +436,50 @@ def test_selective_scan_gradients_match_finite_differences():
         assert err < 1e-4, f"{mode}: {err}"
 
 
-@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
-def test_scan_backward_peak_memory(mode):
-    # the recomputed ZOH pair, the adjoint buffer, d(a_bar) and lam * q are
-    # the (L, C, N) arrays one backward needs; a copied or reversed sweep
-    # input on top of them pushes the peak past 6.5
-    length, channels, state_dim = 50, 64, 12
-    params, u, weight = _scan_inputs(8, length, channels, state_dim)
-    with Tape() as tape:
-        _selective_scan(u, params, mode)
-    (_, _, bwd), = tape.records
+PEAK_SHAPE = (50, 64, 12)
+
+
+def _peak_full_arrays(fn):
+    """tracemalloc's peak while fn runs, in (L, C, N) float64 arrays."""
     tracemalloc.start()
     try:
-        bwd(weight)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    full = length * channels * state_dim * 8
-    assert peak < 6.5 * full, f"peak {peak / full:.2f} full-size arrays"
+    return peak / (np.prod(PEAK_SHAPE) * 8)
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+def test_scan_backward_peak_memory(mode):
+    # the recomputed exp(delta * a) (turned into lam * (exp - 1)/a in
+    # place), the adjoint buffer lam and B * u / a (turned into
+    # lam * (h + B * u / a) in place) are the three (L, N, C) arrays one
+    # backward needs, and numpy's broadcast buffers and the (L, C) arrays
+    # bring the peak to about 3.6; a fourth alive through the sweep, such
+    # as a d(a_bar) array, pushes it past 4.5
+    params, u, weight = _scan_inputs(8, *PEAK_SHAPE)
+    with Tape() as tape:
+        _selective_scan(u, params, mode)
+    (_, _, bwd), = tape.records
+    peak = _peak_full_arrays(lambda: bwd(weight))
+    assert peak < 4.5, f"peak {peak:.2f} full-size arrays"
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+def test_scan_forward_peak_memory(monkeypatch, mode):
+    # exp(delta * a), B_bar * u and the states h are the three (L, N, C)
+    # arrays a forward without a tape needs; each of the parallel sweep's
+    # four slab buffers is at most SWEEP_BLOCK_BYTES, made small here
+    monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", 8 * 1024)
+    params, u, _ = _scan_inputs(8, *PEAK_SHAPE)
+
+    def forward():
+        with no_grad():
+            _selective_scan(u, params, mode)
+
+    peak = _peak_full_arrays(forward)
+    assert peak < 3.5, f"peak {peak:.2f} full-size arrays"
 
 
 @pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (64, 4, 3),
