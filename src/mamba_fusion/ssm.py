@@ -6,7 +6,9 @@ backward-in-time sweep as the adjoint of both, the selective scan and the
 causal conv as fused tape nodes, and the bidirectional block every fusion
 stage is built from. The default order, "recurrent", sweeps step by step in
 L - 1 multiplies per column; the "parallel" doubling-stride prefix scan
-makes 2 L ceil(log2 L).
+makes 2 L ceil(log2 L). Both sweeps take an optional ``out`` array, which
+may be b itself: the selective scan's forward writes the states over its
+B_bar*u buffer, so it holds two full (L, N, C) arrays, A_bar and that one.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -34,17 +36,19 @@ def _uniform(rng, shape, scale):
 def _zoh(a, delta):
     """Exact zero-order hold for a diagonal state matrix, in numpy.
 
-    Returns a_bar = exp(delta*a) and q = (a_bar - 1)/a, so that
-    b_bar = q*b, as two fresh arrays of the broadcast shape. a must be
-    elementwise negative, delta elementwise positive. The selective scan
-    passes a as (N, C) and delta as (L, 1, C), so both come out
-    state-major, (L, N, C).
+    Returns a_bar = exp(delta*a), exponentiated in place over the product,
+    and q = (a_bar - 1)/a, so that b_bar = q*b, as two fresh arrays of the
+    broadcast shape. a must be elementwise negative, delta elementwise
+    positive. The selective scan passes a as (N, C) and delta as (L, 1, C),
+    so both come out state-major, (L, N, C).
     """
     if np.any(a >= 0):
         raise ValueError("discretize: state matrix must be strictly negative")
     if np.any(delta <= 0):
         raise ValueError("discretize: step size must be strictly positive")
-    a_bar = np.exp(delta * a)
+    # asarray turns the product of two scalars into a writable 0-d array
+    a_bar = np.asarray(delta * a)
+    np.exp(a_bar, out=a_bar)
     q = a_bar - 1.0
     q /= a
     return a_bar, q
@@ -54,8 +58,9 @@ def _zoh(a, delta):
 # Linear recurrence evaluation
 # ---------------------------------------------------------------------------
 
-def _scan_forward_sequential(a, b):
-    h = np.empty_like(b)
+def _scan_forward_sequential(a, b, out=None):
+    # row t of out is written after row t of b is read, so out may be b
+    h = np.empty_like(b) if out is None else out
     h[0] = b[0]
     row = np.empty_like(b[0])
     for t in range(1, a.shape[0]):
@@ -76,12 +81,14 @@ def _scan_forward_sequential(a, b):
 SWEEP_BLOCK_BYTES = 256 * 1024
 
 
-def _scan_forward_parallel(a, b):
+def _scan_forward_parallel(a, b, out=None):
     # Doubling-stride inclusive sweep: ceil(log2 L) passes per column slab.
     # The level of stride d reads only the transitions t >= d, so it forms
     # the next level's products for t >= 2d only, into the other buffer.
+    # A slab of out is written after that slab of b is copied, so out may
+    # be b.
     length = a.shape[0]
-    h = np.empty(b.shape, b.dtype)
+    h = np.empty(b.shape, b.dtype) if out is None else out
     a2, b2, h2 = (x.reshape(length, -1) for x in (a, b, h))
     width = max(1, SWEEP_BLOCK_BYTES // (length * h.itemsize))
     for j in range(0, h2.shape[1], width):
@@ -139,10 +146,16 @@ def _scan_adjoint(a, h, lam):
     return da, lam
 
 
-def _linear_recurrence(a_bar, bx, mode):
+def _linear_recurrence(a_bar, bx, mode, out=None):
     if a_bar.shape != bx.shape:
         raise ValueError(
             f"recurrence: shape mismatch {a_bar.shape} vs {bx.shape}")
+    if out is not None and (out.shape != bx.shape
+                            or out.dtype != bx.data.dtype
+                            or not out.flags.c_contiguous):
+        raise ValueError(
+            f"recurrence: out must be a C-contiguous {bx.data.dtype} array "
+            f"of shape {bx.shape}")
     length = a_bar.shape[0]
     per_step = int(np.prod(a_bar.shape[1:]))
     if mode == "recurrent":
@@ -150,27 +163,31 @@ def _linear_recurrence(a_bar, bx, mode):
     else:
         # two multiplies per element on each of ceil(log2 L) levels
         _count_macs(2 * length * per_step * (length - 1).bit_length())
-    h_data = SWEEPS[mode](a_bar.data, bx.data)
-    out = Tensor(h_data)
+    h_data = SWEEPS[mode](a_bar.data, bx.data, out=out)
+    h = Tensor(h_data)
 
     def bwd(g):
-        # out.grad is g: the adjoint sweeps a copy
+        # h.grad is g: the adjoint sweeps a copy
         return _scan_adjoint(a_bar.data, h_data, g.copy())
 
-    _record(out, (a_bar, bx), bwd)
-    return out
+    _record(h, (a_bar, bx), bwd)
+    return h
 
 
-def linear_recurrence_sequential(a_bar, bx):
-    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0, step by step."""
-    return _linear_recurrence(a_bar, bx, "recurrent")
+def linear_recurrence_sequential(a_bar, bx, out=None):
+    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0, step by step.
+
+    The states are written into out, an array shaped like bx, or into a
+    new array; out may be bx.data itself, which the states then overwrite.
+    """
+    return _linear_recurrence(a_bar, bx, "recurrent", out)
 
 
-def linear_recurrence_parallel(a_bar, bx):
+def linear_recurrence_parallel(a_bar, bx, out=None):
     """Same recurrence via an inclusive associative prefix scan in
-    ceil(log2 L) passes; the adjoint is the same sequential backward sweep
-    as in the step-by-step order."""
-    return _linear_recurrence(a_bar, bx, "parallel")
+    ceil(log2 L) passes, into out as in the step-by-step order; the
+    adjoint is the same sequential backward sweep as in that order."""
+    return _linear_recurrence(a_bar, bx, "parallel", out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +238,9 @@ def _selective_scan(u, params, mode):
     y_t = C_t h_t is one stacked vector-matrix product over the state axis,
     as in Mamba's reference scan (Gu & Dao 2023). Backward keeps only u,
     the step-size logits, B, C and the states h, and recomputes
-    exp(delta*A) (the recomputation of Mamba, section 3.3). Since
+    exp(delta*A) (the recomputation of Mamba, section 3.3). The sweep
+    writes h over the B_bar*u buffer, so the forward holds two full arrays,
+    A_bar and that one, with or without a tape. Since
     h_t = A_bar_t h_{t-1} + B_bar_t u_t and B_bar = (A_bar - 1)/A * B, the
     gradient with respect to delta*A is lam * (h + B*u/A), with lam the
     adjoint state.
@@ -246,7 +265,7 @@ def _selective_scan(u, params, mode):
     bx *= x[:, None, :]
     _count_macs(4 * bx.size)
     with no_grad():
-        h = recurrence(Tensor(a_bar), Tensor(bx)).data
+        h = recurrence(Tensor(a_bar), Tensor(bx), out=bx).data
     del a_bar, bx
     _count_macs(h.size + x.size)
     out = Tensor(np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip)

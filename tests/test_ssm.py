@@ -577,9 +577,9 @@ def test_bimamba_calls_the_module_level_hooks(monkeypatch, mode):
     def counting(name):
         fn = getattr(ssm, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in ("linear_recurrence_sequential", "linear_recurrence_parallel",
