@@ -212,6 +212,27 @@ def test_built_model_holds_no_gradient_buffers(preset):
     assert held < 1.2 * n_bytes
 
 
+def test_sims_prediction_peak_memory():
+    # a prediction's largest arrays are one selective scan's A_bar and
+    # B_bar * u, 1.2 MiB each at sims, over which the sweep writes the
+    # states; the peak is about 3.7 MiB, and a third such array, a
+    # separately allocated h, takes it to about 4.8
+    import tracemalloc
+    model = build_model("sims", seed=0)
+    cfg = model.config
+    rng = np.random.default_rng(0)
+    x = [rng.standard_normal(shape) for shape in (
+        (cfg.t_text, cfg.d_text), (cfg.t_visual, cfg.d_visual),
+        (cfg.t_audio, cfg.d_audio))]
+    tracemalloc.start()
+    try:
+        model.predict(*x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 def test_state_round_trip_and_shape_check():
     src = build_model("desk", seed=0)
     dst = build_model("desk", seed=9)

@@ -218,6 +218,34 @@ def test_recurrence_backward_leaves_the_output_gradient_alone(rec):
     np.testing.assert_array_equal(b.grad, lam)
 
 
+@pytest.mark.parametrize("rec", [linear_recurrence_sequential,
+                                 linear_recurrence_parallel])
+@pytest.mark.parametrize("shape", [(1, 3, 2), (21, 7, 5), (50, 40, 12)])
+def test_recurrence_into_its_input_is_bitwise_the_fresh_result(
+        monkeypatch, rec, shape):
+    # four columns per slab, so the parallel sweep runs over many slabs and
+    # the last one is narrower at (21, 7, 5)
+    monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", shape[0] * 8 * 4)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.2, 1.0, size=shape)
+    b = rng.standard_normal(shape)
+    fresh = rec(Tensor(a), Tensor(b)).data
+    h = rec(Tensor(a), Tensor(b), out=b).data
+    assert h is b
+    np.testing.assert_array_equal(h, fresh)
+
+
+@pytest.mark.parametrize("rec", [linear_recurrence_sequential,
+                                 linear_recurrence_parallel])
+def test_recurrence_rejects_an_out_it_cannot_fill_in_place(rec):
+    a = Tensor(np.full((4, 3, 2), 0.5))
+    b = Tensor(np.ones((4, 3, 2)))
+    for out in (np.empty((4, 2, 3)), np.empty((4, 3, 2), dtype=np.float32),
+                np.empty((4, 3, 4))[:, :, ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            rec(a, b, out=out)
+
+
 def test_recurrence_diverging_adjoint_names_timestep():
     a = np.full((4, 1, 1), 1e300)
     g = np.full((4, 1, 1), 1e300)
@@ -258,9 +286,11 @@ def test_forward_sweep_row_check_names_the_full_checks_timestep(case):
         # the full check names the first non-finite timestep
         first = int(np.argmax(_bad_rows(h)))
         assert first == 5 and _bad_rows(h)[first:].all()
-        with pytest.raises(FloatingPointError,
-                           match=f"diverged at timestep {first}$"):
-            _scan_forward_sequential(a, b)
+        # the same timestep when the states overwrite b
+        for out in (None, b):
+            with pytest.raises(FloatingPointError,
+                               match=f"diverged at timestep {first}$"):
+                _scan_forward_sequential(a, b, out=out)
 
 
 @pytest.mark.parametrize("case", ["nan", "inf-then-zero"])
@@ -436,7 +466,7 @@ def test_selective_scan_gradients_match_finite_differences():
         assert err < 1e-4, f"{mode}: {err}"
 
 
-PEAK_SHAPE = (50, 64, 12)
+PEAK_SHAPE = (50, 256, 12)
 
 
 def _peak_full_arrays(fn):
@@ -456,21 +486,23 @@ def test_scan_backward_peak_memory(mode):
     # place), the adjoint buffer lam and B * u / a (turned into
     # lam * (h + B * u / a) in place) are the three (L, N, C) arrays one
     # backward needs, and numpy's broadcast buffers and the (L, C) arrays
-    # bring the peak to about 3.6; a fourth alive through the sweep, such
-    # as a d(a_bar) array, pushes it past 4.5
+    # bring the peak to about 3.3; a fourth, such as a d(a_bar) array or
+    # the product of a broadcast sum over l, pushes it past 3.5
     params, u, weight = _scan_inputs(8, *PEAK_SHAPE)
     with Tape() as tape:
         _selective_scan(u, params, mode)
     (_, _, bwd), = tape.records
     peak = _peak_full_arrays(lambda: bwd(weight))
-    assert peak < 4.5, f"peak {peak:.2f} full-size arrays"
+    assert peak < 3.5, f"peak {peak:.2f} full-size arrays"
 
 
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 def test_scan_forward_peak_memory(monkeypatch, mode):
-    # exp(delta * a), B_bar * u and the states h are the three (L, N, C)
-    # arrays a forward without a tape needs; each of the parallel sweep's
-    # four slab buffers is at most SWEEP_BLOCK_BYTES, made small here
+    # exp(delta * a) and B_bar * u, which the sweep overwrites with the
+    # states h, are the two (L, N, C) arrays a forward needs, and the
+    # peak is about 2.2; each of the parallel sweep's four slab buffers is
+    # at most SWEEP_BLOCK_BYTES, made small here; a separate h takes the
+    # peak to about 3.2
     monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", 8 * 1024)
     params, u, _ = _scan_inputs(8, *PEAK_SHAPE)
 
@@ -479,7 +511,7 @@ def test_scan_forward_peak_memory(monkeypatch, mode):
             _selective_scan(u, params, mode)
 
     peak = _peak_full_arrays(forward)
-    assert peak < 3.5, f"peak {peak:.2f} full-size arrays"
+    assert peak < 2.5, f"peak {peak:.2f} full-size arrays"
 
 
 @pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (64, 4, 3),
