@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -242,7 +243,6 @@ def cmd_eval(args):
                                  scheme=_scheme(model.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    import json
     container.write_text(out / "metrics.json",
                          json.dumps(row, indent=2, sort_keys=True))
     write_resolved_config(out, model.config, train_cfg,

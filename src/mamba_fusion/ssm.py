@@ -1,14 +1,17 @@
 """Selective state-space machinery.
 
 Zero-order-hold discretization (``_zoh``), one numpy sweep per evaluation
-order of the linear recurrence (``SWEEPS``) with one in-place
-backward-in-time sweep as the adjoint of both, the selective scan and the
-causal conv as fused tape nodes, and the bidirectional block every fusion
-stage is built from. The default order, "recurrent", sweeps step by step in
-L - 1 multiplies per column; the "parallel" doubling-stride prefix scan
-makes 2 L ceil(log2 L). Both sweeps take an optional ``out`` array, which
-may be b itself: the selective scan's forward writes the states over its
-B_bar*u buffer, so it holds two full (L, N, C) arrays, A_bar and that one.
+order of the linear recurrence (``SWEEPS``), which the public
+``linear_recurrence_*`` check, count and run on plain arrays, the selective
+scan and the causal conv as fused tape nodes, and the bidirectional block
+every fusion stage is built from. The recurrence records nothing on the
+tape: the selective scan's backward runs its adjoint, one in-place
+backward-in-time sweep (``_adjoint_sweep``) for both orders. The default
+order, "recurrent", sweeps step by step in L - 1 multiplies per column; the
+"parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). Both sweeps
+take an optional ``out`` array, which may be b itself: the selective scan's
+forward writes the states over its B_bar*u buffer, so it holds two full
+(L, N, C) arrays, A_bar and that one.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -20,8 +23,7 @@ import numpy as np
 
 from .autodiff import (
     Module, Parameter, Tensor, _check_finite, _count_macs, _record,
-    _sigmoid_np, add, flip_time, layer_norm, matmul, mul, no_grad, silu,
-    slicer,
+    _sigmoid_np, add, flip_time, layer_norm, matmul, mul, silu, slicer,
 )
 
 
@@ -137,24 +139,14 @@ def _adjoint_sweep(a, lam):
     return lam
 
 
-def _scan_adjoint(a, h, lam):
-    """The adjoint sweep over lam, and da_t = lam_t * h_{t-1}, da_0 = 0."""
-    _adjoint_sweep(a, lam)
-    da = np.empty_like(a)
-    da[0] = 0.0
-    np.multiply(lam[1:], h[:-1], out=da[1:])
-    return da, lam
-
-
-def _linear_recurrence(a_bar, bx, mode, out=None):
+def _linear_recurrence(a_bar, bx, mode, out):
     if a_bar.shape != bx.shape:
         raise ValueError(
             f"recurrence: shape mismatch {a_bar.shape} vs {bx.shape}")
-    if out is not None and (out.shape != bx.shape
-                            or out.dtype != bx.data.dtype
+    if out is not None and (out.shape != bx.shape or out.dtype != bx.dtype
                             or not out.flags.c_contiguous):
         raise ValueError(
-            f"recurrence: out must be a C-contiguous {bx.data.dtype} array "
+            f"recurrence: out must be a C-contiguous {bx.dtype} array "
             f"of shape {bx.shape}")
     length = a_bar.shape[0]
     per_step = int(np.prod(a_bar.shape[1:]))
@@ -163,30 +155,21 @@ def _linear_recurrence(a_bar, bx, mode, out=None):
     else:
         # two multiplies per element on each of ceil(log2 L) levels
         _count_macs(2 * length * per_step * (length - 1).bit_length())
-    h_data = SWEEPS[mode](a_bar.data, bx.data, out=out)
-    h = Tensor(h_data)
-
-    def bwd(g):
-        # h.grad is g: the adjoint sweeps a copy
-        return _scan_adjoint(a_bar.data, h_data, g.copy())
-
-    _record(h, (a_bar, bx), bwd)
-    return h
+    return SWEEPS[mode](a_bar, bx, out=out)
 
 
 def linear_recurrence_sequential(a_bar, bx, out=None):
-    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0, step by step.
+    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0 over arrays, step by step.
 
-    The states are written into out, an array shaped like bx, or into a
-    new array; out may be bx.data itself, which the states then overwrite.
+    Returns the states, written into out, an array shaped like bx, or into
+    a new array; out may be bx itself, which the states then overwrite.
     """
     return _linear_recurrence(a_bar, bx, "recurrent", out)
 
 
 def linear_recurrence_parallel(a_bar, bx, out=None):
     """Same recurrence via an inclusive associative prefix scan in
-    ceil(log2 L) passes, into out as in the step-by-step order; the
-    adjoint is the same sequential backward sweep as in that order."""
+    ceil(log2 L) passes, into out as in the step-by-step order."""
     return _linear_recurrence(a_bar, bx, "parallel", out)
 
 
@@ -264,8 +247,7 @@ def _selective_scan(u, params, mode):
     bx *= b_sel[:, :, None]
     bx *= x[:, None, :]
     _count_macs(4 * bx.size)
-    with no_grad():
-        h = recurrence(Tensor(a_bar), Tensor(bx), out=bx).data
+    h = recurrence(a_bar, bx, out=bx)
     del a_bar, bx
     _count_macs(h.size + x.size)
     out = Tensor(np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip)

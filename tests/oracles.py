@@ -1,13 +1,15 @@
 """Reference implementations the tests compare the package against.
 
 None of this runs outside the tests. The tape primitives (``sub``, ``neg``,
-``exp``, ``softplus``, ``sum_``) are the building blocks of the tape-path
-oracles: ``tape_selective_scan``, the primitive composition the fused scan
-node replaces, and ``tape_recon_loss`` and ``tape_task_loss``, the
-compositions the one-node loss terms replace. The time-invariant
-oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.SWEEPS``
-and ``ssm._zoh`` at call time, so it checks the sweeps and zero-order hold
-the model runs, and a test that patches them sees every call.
+``exp``, ``softplus``, ``sum_``) and ``tape_recurrence``, the linear
+recurrence as a tape node over the package's plain-array sweep and adjoint,
+are the building blocks of the tape-path oracles: ``tape_selective_scan``,
+the primitive composition the fused scan node replaces, and
+``tape_recon_loss`` and ``tape_task_loss``, the compositions the one-node
+loss terms replace. The time-invariant oracle (``LTIParams``, ``lti_scan``,
+``discretize``) looks up ``ssm.SWEEPS`` and ``ssm._zoh`` at call time, so it
+checks the sweeps and zero-order hold the model runs, and a test that
+patches them sees every call.
 """
 
 from __future__ import annotations
@@ -86,6 +88,26 @@ def sum_(a, axis=None, keepdims=False):
 # Tape-path oracles: the primitive compositions the fused nodes replace
 # ---------------------------------------------------------------------------
 
+def tape_recurrence(a_bar, bx, mode):
+    """The linear recurrence as a tape node over Tensors: the forward is
+    the package's public sweep of that mode, the backward the selective
+    scan's adjoint sweep with da_t = lam_t * h_{t-1}, da_0 = 0."""
+    recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
+        else ssm.linear_recurrence_parallel
+    h = Tensor(recurrence(a_bar.data, bx.data))
+
+    def bwd(g):
+        # h.grad is g: the adjoint sweeps a copy
+        lam = ssm._adjoint_sweep(a_bar.data, g.copy())
+        da = np.empty_like(lam)
+        da[0] = 0.0
+        np.multiply(lam[1:], h.data[:-1], out=da[1:])
+        return da, lam
+
+    _record(h, (a_bar, bx), bwd)
+    return h
+
+
 def tape_selective_scan(u, params, mode):
     """The selective scan as tape primitives, state-major like the fused
     node: A is a_log transposed to (1, N, C) and every full-size array is
@@ -100,9 +122,7 @@ def tape_selective_scan(u, params, mode):
     b_bar = mul(div(sub(a_bar, Tensor(1.0)), a),
                 reshape(b_sel, (length, n, 1)))
     bx = mul(b_bar, reshape(u, (length, 1, channels)))
-    recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
-        else ssm.linear_recurrence_parallel
-    h = recurrence(a_bar, bx)
+    h = tape_recurrence(a_bar, bx, mode)
     y = matmul(reshape(c_sel, (length, 1, n)), h)
     return add(reshape(y, (length, channels)), mul(u, params.d_skip))
 
@@ -176,14 +196,11 @@ def whole_array_sweep(a, b):
     return h
 
 
-def reverse_sweep_adjoint(a, h, g, mode):
-    """The adjoint as that mode's forward sweep run over the time-reversed
-    shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
+def reverse_sweep_adjoint(a, g, mode):
+    """The adjoint state as that mode's forward sweep run over the
+    time-reversed shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
     a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
-    lam = ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
-    da = np.zeros_like(a)
-    da[1:] = lam[1:] * h[:-1]
-    return da, lam
+    return ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------

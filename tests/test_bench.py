@@ -5,9 +5,9 @@ import pytest
 
 from mamba_fusion.autodiff import MacCounter, Module, Tensor, no_grad
 from mamba_fusion.bench import (
-    CONVENTION, cost_report, count_params, macs_attention,
-    macs_attention_interaction, macs_bimamba, macs_selective_scan, model_macs,
-    report_json, report_table, wallclock,
+    CONVENTION, cost_report, count_params, macs_attention_interaction,
+    macs_bimamba, macs_selective_scan, model_macs, report_json, report_table,
+    wallclock,
 )
 from mamba_fusion.model import PRESETS, ModelConfig, build_model
 from mamba_fusion.ssm import SCAN_MODES, BiMamba, SSMParams, _selective_scan

@@ -8,9 +8,8 @@ from mamba_fusion.autodiff import (
 )
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
-    SWEEP_RATES, CorruptionConfig, MetricsReport, corrupt_batch,
-    corrupt_sample, evaluate_sweep, metrics, pearson, task_loss_tensor,
-    total_loss,
+    SWEEP_RATES, CorruptionConfig, corrupt_batch, corrupt_sample,
+    evaluate_sweep, metrics, pearson, task_loss_tensor, total_loss,
 )
 from oracles import tape_task_loss
 
