@@ -153,7 +153,10 @@ class TextFusionModel(Module):
                                rng, name="align_v")
         self.align_a = Aligner(c.t_audio, c.d_audio, c.length, c.d_model,
                                rng, name="align_a")
-        self.reconstructor = TextReconstructor(c.d_model, c.d_text, rng)
+        # drawn in every ablation, so later modules start from the same values
+        reconstructor = TextReconstructor(c.d_model, c.d_text, rng)
+        if c.reconstruction:
+            self.reconstructor = reconstructor
         if c.use_attention:
             self.context = _TransStreams(c.tc_depth, c.d_model, c.heads, rng)
             self.latent = _attention_stack(c.tq_depth, c.d_model, c.heads,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .autodiff import (
     Module, Parameter, Tensor, _check_finite, _record, add, div,
-    l2_normalize_lastdim, matmul, mul, relu, softmax_lastdim, transpose,
+    l2_normalize_lastdim, matmul, mul, no_grad, relu, softmax_lastdim,
+    transpose,
 )
 
 
@@ -58,7 +59,10 @@ class Aligner(Module):
     def __call__(self, x):
         if x.shape[0] < 1:
             raise ValueError("cannot align an empty sequence")
-        return add(matmul(matmul(self.resample, x), self.w), self.b)
+        # the fixed resampling of input data records no node and no gradient
+        with no_grad():
+            x = matmul(self.resample, x)
+        return add(matmul(x, self.w), self.b)
 
 
 def token_similarity(h_x, h_t, tau):

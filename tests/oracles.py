@@ -319,3 +319,23 @@ def shared_param_count(depth, d_model, state_dim, expansion, conv_width=4,
 def sharing_saving(d_model, state_dim, expansion):
     """Parameters saved by sharing within one pair."""
     return 2 * expansion * d_model * state_dim
+
+
+def reconstructor_param_count(d_model, d_text):
+    """Analytic parameter count of the text reconstructor."""
+    return d_model * d_model + d_model + d_model * d_text + d_text
+
+
+def model_param_count(c):
+    """Analytic parameter count of the full scan-block model of config
+    ``c`` with shared transitions and the reconstructor."""
+    d, n, e = c.d_model, c.state_dim, c.expansion
+    total = 0
+    for d_in in (c.d_text, c.d_visual, c.d_audio):      # aligners
+        total += d_in * d + d
+    total += reconstructor_param_count(d, c.d_text)
+    total += shared_param_count(c.tc_depth, d, n, e)    # context pairs
+    total += 2 * d + 4 * d * d + d                      # cross-attention
+    total += c.tq_depth * bimamba_param_count(d, n, e)  # latent
+    total += d + 1                                      # head
+    return total

@@ -33,8 +33,7 @@ from mamba_fusion.tc_mamba import SharedTransitionPair
 from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
 from mamba_fusion.training import TrainConfig, train, validation_mae, _batch_loss
 from oracles import (
-    LTIParams, bimamba_param_count, discretize, lti_scan, shared_param_count,
-    sharing_saving, sum_,
+    LTIParams, discretize, lti_scan, model_param_count, sharing_saving, sum_,
 )
 
 
@@ -195,14 +194,7 @@ def test_acceptance_04_shared_transition_correctness():
     # exact analytic parameter count of the full desk model
     c = PRESETS["desk"]
     d, n, e = c.d_model, c.state_dim, c.expansion
-    analytic = 0
-    for d_in in (c.d_text, c.d_visual, c.d_audio):      # aligners
-        analytic += d_in * d + d
-    analytic += d * d + d + d * c.d_text + c.d_text     # reconstructor
-    analytic += shared_param_count(c.tc_depth, d, n, e)  # context pairs
-    analytic += 2 * d + 4 * d * d + d                   # cross-attention
-    analytic += c.tq_depth * bimamba_param_count(d, n, e)  # latent
-    analytic += d + 1                                   # head
+    analytic = model_param_count(c)
     model = build_model("desk", seed=0)
     count_ok = count_params(model) == analytic
     unshared = build_model("desk", seed=0, share_transitions=False)

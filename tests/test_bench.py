@@ -11,7 +11,10 @@ from mamba_fusion.bench import (
 )
 from mamba_fusion.model import PRESETS, ModelConfig, build_model
 from mamba_fusion.ssm import SCAN_MODES, BiMamba, SSMParams, _selective_scan
-from oracles import LTIParams, bimamba_param_count, lti_scan, sharing_saving
+from oracles import (
+    LTIParams, bimamba_param_count, lti_scan, model_param_count,
+    reconstructor_param_count, sharing_saving,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,15 @@ def test_model_macs_match_instrumented_forward(preset, scan_mode,
     # without clean text the reconstructor does not run
     expected = model_macs(c, mode=c.scan_mode)
     assert counter.macs == expected["total"] - expected["reconstruct"]
+
+
+def test_model_without_reconstruction_counts_no_reconstructor():
+    c = PRESETS["desk"]
+    model = build_model("desk", seed=0, reconstruction=False)
+    expected = (model_param_count(c)
+                - reconstructor_param_count(c.d_model, c.d_text))
+    assert count_params(model) == expected == 40_609
+    assert cost_report(model)["parameters"] == expected
 
 
 def _bimamba_blocks(module):

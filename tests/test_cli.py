@@ -539,6 +539,26 @@ def test_checkpoint_that_disagrees_with_its_config_is_io_error(
     assert not (tmp_path / "o").exists()
 
 
+def test_no_reconstruction_checkpoint_with_a_reconstructor_is_io_error(
+        tmp_path, capsys):
+    # the layout of this ablation's checkpoints when the model still built
+    # the unused reconstructor: every tensor of the full model
+    from mamba_fusion.cli import save_checkpoint
+    from mamba_fusion.model import build_model
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(build_model("desk", seed=0), ckpt)
+    _edit_manifest(ckpt, "config_reconstruction True",
+                   "config_reconstruction False")
+    code = main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "checkpoint has 115 tensors, model has 111" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     from mamba_fusion import model as model_module
     from mamba_fusion.cli import load_checkpoint, save_checkpoint

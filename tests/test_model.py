@@ -74,6 +74,16 @@ def test_same_seed_same_initialization():
         assert np.array_equal(arr_a, arr_b)
 
 
+def test_ablations_share_the_initial_values_of_every_common_name():
+    # the reconstructor is drawn even when it is not kept, so dropping it
+    # shifts no later module's initial values
+    full = dict(build_model("desk", seed=5).state_arrays())
+    for overrides in ({"reconstruction": False}, {"enhancement": False}):
+        named = build_model("desk", seed=5, **overrides).state_arrays()
+        for name, arr in named:
+            np.testing.assert_array_equal(arr, full[name], err_msg=name)
+
+
 def test_ablation_flags_change_structure_not_interface():
     rng = np.random.default_rng(2)
     c = PRESETS["desk"]
@@ -107,13 +117,19 @@ def test_parameters_are_unique_objects():
     assert len({id(p) for p in params}) == len(params)
 
 
-@pytest.mark.parametrize("use_attention", [False, True])
-def test_every_parameter_receives_a_gradient(use_attention):
-    model = build_model("desk", seed=0, use_attention=use_attention)
+@pytest.mark.parametrize("overrides", [
+    {}, {"reconstruction": False}, {"enhancement": False},
+    {"share_transitions": False}, {"use_attention": True},
+], ids=["default", "no-reconstruction", "no-enhancement", "unshared",
+        "attention"])
+def test_every_parameter_receives_a_gradient(overrides):
+    model = build_model("desk", seed=0, **overrides)
     ds = generate(8, seed=1)
     batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
                           ds.unknown_text_vector)
-    recon = {id(p) for p in model.reconstructor.parameters()}
+    # without clean text only the reconstructor, if built, goes untrained
+    recon = ({id(p) for p in model.reconstructor.parameters()}
+             if model.config.reconstruction else set())
     for clean_text in (True, False):
         for p in model.parameters():
             p.zero_grad()
@@ -128,6 +144,9 @@ def test_every_parameter_receives_a_gradient(use_attention):
         idle = [p.name for p in model.parameters() if not np.any(p.grad)
                 and (clean_text or id(p) not in recon)]
         assert idle == []
+        # the fixed time resampling is no trained state either
+        assert [al.resample.grad for al in (
+            model.align_t, model.align_v, model.align_a)] == [None] * 3
 
 
 def _parameter_attributes(obj, out):

@@ -58,6 +58,19 @@ def test_align_preserves_time_constants():
     np.testing.assert_allclose(out, np.tile(out[0], (8, 1)), atol=1e-12)
 
 
+def test_align_records_only_the_learned_projection():
+    rng = np.random.default_rng(7)
+    al = Aligner(t_in=6, d_in=3, length=4, d_model=5, rng=rng)
+    with Tape() as tape:
+        out = al(Tensor(rng.standard_normal((6, 3))))
+        recorded = len(tape.records)
+        backward(sum_(out))
+    # the projection's matmul and bias add; the fixed resampling is no node
+    assert recorded == 2
+    assert al.resample.grad is None
+    assert np.any(al.w.grad) and np.any(al.b.grad)
+
+
 def test_align_rejects_empty_sequence():
     rng = np.random.default_rng(2)
     al = Aligner(t_in=4, d_in=3, length=4, d_model=3, rng=rng)
