@@ -1,17 +1,16 @@
 """Selective state-space machinery.
 
-Zero-order-hold discretization (``_zoh``), one numpy sweep per evaluation
-order of the linear recurrence (``SWEEPS``), which the public
-``linear_recurrence_*`` check, count and run on plain arrays, the selective
-scan and the causal conv as fused tape nodes, and the bidirectional block
-every fusion stage is built from. The recurrence records nothing on the
-tape: the selective scan's backward runs its adjoint, one in-place
+Zero-order-hold discretization (``_zoh``), the linear recurrence in two
+evaluation orders (``linear_recurrence_*``, which check, count and sweep
+plain arrays, writing the states over their input), the selective scan
+and the causal conv as fused tape nodes, and the bidirectional block every
+fusion stage is built from. The recurrence records nothing on the tape:
+the selective scan's backward runs its adjoint, one in-place
 backward-in-time sweep (``_adjoint_sweep``) for both orders. The default
 order, "recurrent", sweeps step by step in L - 1 multiplies per column; the
-"parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). Both sweeps
-take an optional ``out`` array, which may be b itself: the selective scan's
-forward writes the states over its B_bar*u buffer, so it holds two full
-(L, N, C) arrays, A_bar and that one.
+"parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). The
+selective scan's forward sweeps over its B_bar*u buffer, so it holds two
+full (L, N, C) arrays, A_bar and that one.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -60,42 +59,63 @@ def _zoh(a, delta):
 # Linear recurrence evaluation
 # ---------------------------------------------------------------------------
 
-def _scan_forward_sequential(a, b, out=None):
-    # row t of out is written after row t of b is read, so out may be b
-    h = np.empty_like(b) if out is None else out
-    h[0] = b[0]
-    row = np.empty_like(b[0])
-    for t in range(1, a.shape[0]):
-        np.multiply(a[t], h[t - 1], out=row)
-        np.add(row, b[t], out=h[t])
-    # a non-finite state stays non-finite through every later step (0 * inf
-    # is nan), so the last row catches every failure
-    if not np.all(np.isfinite(h[-1])):
-        finite = np.isfinite(h).reshape(len(h), -1).all(axis=1)
-        raise FloatingPointError(
-            f"recurrence diverged at timestep {int(np.argmin(finite))}")
-    return h
-
+# Evaluation orders of the linear recurrence (BiMamba's scan_mode); the
+# first is the default of BiMamba, ModelConfig and the bench formulas.
+SCAN_MODES = ("recurrent", "parallel")
 
 # Bytes of one (L, columns) slab of the parallel sweep. Each slab is copied
 # out, swept through every level while it stays in cache, and copied back,
-# instead of streaming the whole (L, C, N) arrays once per level.
+# instead of streaming the whole (L, N, C) arrays once per level.
 SWEEP_BLOCK_BYTES = 256 * 1024
 
 
-def _scan_forward_parallel(a, b, out=None):
-    # Doubling-stride inclusive sweep: ceil(log2 L) passes per column slab.
-    # The level of stride d reads only the transitions t >= d, so it forms
-    # the next level's products for t >= 2d only, into the other buffer.
-    # A slab of out is written after that slab of b is copied, so out may
-    # be b.
-    length = a.shape[0]
-    h = np.empty(b.shape, b.dtype) if out is None else out
-    a2, b2, h2 = (x.reshape(length, -1) for x in (a, b, h))
-    width = max(1, SWEEP_BLOCK_BYTES // (length * h.itemsize))
+def _check_in_place(a_bar, bx):
+    if a_bar.shape != bx.shape:
+        raise ValueError(
+            f"recurrence: shape mismatch {a_bar.shape} vs {bx.shape}")
+    # a reshape of a non-contiguous bx would copy, and the states would
+    # never reach it
+    if not bx.flags.c_contiguous:
+        raise ValueError("recurrence: bx must be C-contiguous")
+
+
+def linear_recurrence_sequential(a_bar, bx):
+    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0 over arrays, step by step.
+
+    The states overwrite bx, which is returned; row t of bx is written
+    after it is read.
+    """
+    _check_in_place(a_bar, bx)
+    _count_macs((a_bar.shape[0] - 1) * a_bar[0].size)
+    row = np.empty_like(bx[0])
+    for t in range(1, a_bar.shape[0]):
+        np.multiply(a_bar[t], bx[t - 1], out=row)
+        np.add(row, bx[t], out=bx[t])
+    # a non-finite state stays non-finite through every later step (0 * inf
+    # is nan), so the last row catches every failure
+    if not np.all(np.isfinite(bx[-1])):
+        finite = np.isfinite(bx).reshape(len(bx), -1).all(axis=1)
+        raise FloatingPointError(
+            f"recurrence diverged at timestep {int(np.argmin(finite))}")
+    return bx
+
+
+def linear_recurrence_parallel(a_bar, bx):
+    """Same recurrence via an inclusive associative prefix scan in
+    ceil(log2 L) passes, over bx as in the step-by-step order."""
+    # Doubling-stride sweep per column slab: the level of stride d reads
+    # only the transitions t >= d, so it forms the next level's products
+    # for t >= 2d only, into the other buffer. A slab of bx is written back
+    # after it is copied out.
+    _check_in_place(a_bar, bx)
+    length = a_bar.shape[0]
+    # two multiplies per element on each of ceil(log2 L) levels
+    _count_macs(2 * bx.size * (length - 1).bit_length())
+    a2, h2 = a_bar.reshape(length, -1), bx.reshape(length, -1)
+    width = max(1, SWEEP_BLOCK_BYTES // (length * bx.itemsize))
     for j in range(0, h2.shape[1], width):
         aa = a2[:, j:j + width].copy()
-        hb = b2[:, j:j + width].copy()
+        hb = h2[:, j:j + width].copy()
         nxt = np.empty_like(aa)
         tmp = np.empty_like(hb)
         d = 1
@@ -109,15 +129,7 @@ def _scan_forward_parallel(a, b, out=None):
         if not np.all(np.isfinite(hb)):
             raise FloatingPointError("recurrence diverged (parallel scan)")
         h2[:, j:j + width] = hb
-    return h
-
-
-# Evaluation orders of the linear recurrence (BiMamba's scan_mode), each
-# with the numpy sweep that runs it; the first, SCAN_MODES[0], is the
-# default of BiMamba, ModelConfig and the bench formulas.
-SWEEPS = {"recurrent": _scan_forward_sequential,
-          "parallel": _scan_forward_parallel}
-SCAN_MODES = tuple(SWEEPS)
+    return bx
 
 
 def _adjoint_sweep(a, lam):
@@ -137,40 +149,6 @@ def _adjoint_sweep(a, lam):
             "recurrence adjoint diverged at timestep "
             f"{length - 1 - int(np.argmin(finite[::-1]))}")
     return lam
-
-
-def _linear_recurrence(a_bar, bx, mode, out):
-    if a_bar.shape != bx.shape:
-        raise ValueError(
-            f"recurrence: shape mismatch {a_bar.shape} vs {bx.shape}")
-    if out is not None and (out.shape != bx.shape or out.dtype != bx.dtype
-                            or not out.flags.c_contiguous):
-        raise ValueError(
-            f"recurrence: out must be a C-contiguous {bx.dtype} array "
-            f"of shape {bx.shape}")
-    length = a_bar.shape[0]
-    per_step = int(np.prod(a_bar.shape[1:]))
-    if mode == "recurrent":
-        _count_macs((length - 1) * per_step)
-    else:
-        # two multiplies per element on each of ceil(log2 L) levels
-        _count_macs(2 * length * per_step * (length - 1).bit_length())
-    return SWEEPS[mode](a_bar, bx, out=out)
-
-
-def linear_recurrence_sequential(a_bar, bx, out=None):
-    """h_t = a_bar_t * h_{t-1} + bx_t with h_0 = 0 over arrays, step by step.
-
-    Returns the states, written into out, an array shaped like bx, or into
-    a new array; out may be bx itself, which the states then overwrite.
-    """
-    return _linear_recurrence(a_bar, bx, "recurrent", out)
-
-
-def linear_recurrence_parallel(a_bar, bx, out=None):
-    """Same recurrence via an inclusive associative prefix scan in
-    ceil(log2 L) passes, into out as in the step-by-step order."""
-    return _linear_recurrence(a_bar, bx, "parallel", out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +225,8 @@ def _selective_scan(u, params, mode):
     bx *= b_sel[:, :, None]
     bx *= x[:, None, :]
     _count_macs(4 * bx.size)
-    h = recurrence(a_bar, bx, out=bx)
-    del a_bar, bx
+    h = recurrence(a_bar, bx)
+    del a_bar
     _count_macs(h.size + x.size)
     out = Tensor(np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip)
     _check_finite("selective_scan", out.data)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward, no_grad
-from .harness import (CorruptionConfig, corrupt_sample, task_loss_tensor,
-                      total_loss)
+from .autodiff import Tape, backward
+from .harness import (CorruptionConfig, corrupt_sample, evaluate_fixed,
+                      task_loss_tensor, total_loss)
 
 
 @dataclass
@@ -110,17 +110,6 @@ def _batch_loss(model, batch, lambda_rec):
     return total_loss(task, rec_mean, lambda_rec), float(task.data)
 
 
-def validation_mae(model, samples):
-    """Mean absolute error on uncorrupted samples."""
-    if not samples:
-        return math.inf
-    errs = []
-    with no_grad():
-        for s in samples:
-            errs.append(abs(model.predict(s.x_t, s.x_v, s.x_a) - s.y))
-    return float(np.mean(errs))
-
-
 def train(model, train_samples, cfg: TrainConfig, unknown_text_vector,
           valid_samples=()):
     """Train in place; returns a history dict including the loss curve.
@@ -173,7 +162,8 @@ def train(model, train_samples, cfg: TrainConfig, unknown_text_vector,
             step += 1
         if valid_samples and (epoch + 1) % cfg.val_every == 0:
             try:
-                mae = validation_mae(model, valid_samples)
+                mae = evaluate_fixed(model, valid_samples,
+                                     unknown_text_vector, 0.0)["mae"]
             except FloatingPointError as e:
                 raise FloatingPointError(f"training aborted at validation "
                                          f"after step {step - 1}: {e}") from e

@@ -7,9 +7,9 @@ are the building blocks of the tape-path oracles: ``tape_selective_scan``,
 the primitive composition the fused scan node replaces, and
 ``tape_recon_loss`` and ``tape_task_loss``, the compositions the one-node
 loss terms replace. The time-invariant oracle (``LTIParams``, ``lti_scan``,
-``discretize``) looks up ``ssm.SWEEPS`` and ``ssm._zoh`` at call time, so it
-checks the sweeps and zero-order hold the model runs, and a test that
-patches them sees every call.
+``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
+time, so it checks the sweeps and zero-order hold the model runs, and a
+test that patches them sees every call.
 """
 
 from __future__ import annotations
@@ -88,13 +88,19 @@ def sum_(a, axis=None, keepdims=False):
 # Tape-path oracles: the primitive compositions the fused nodes replace
 # ---------------------------------------------------------------------------
 
+def _recurrence(mode):
+    """The package's public in-place sweep of that mode, looked up at call
+    time."""
+    return ssm.linear_recurrence_sequential if mode == "recurrent" \
+        else ssm.linear_recurrence_parallel
+
+
 def tape_recurrence(a_bar, bx, mode):
     """The linear recurrence as a tape node over Tensors: the forward is
-    the package's public sweep of that mode, the backward the selective
-    scan's adjoint sweep with da_t = lam_t * h_{t-1}, da_0 = 0."""
-    recurrence = ssm.linear_recurrence_sequential if mode == "recurrent" \
-        else ssm.linear_recurrence_parallel
-    h = Tensor(recurrence(a_bar.data, bx.data))
+    the package's public sweep of that mode, on a copy of bx, the backward
+    the selective scan's adjoint sweep with da_t = lam_t * h_{t-1},
+    da_0 = 0."""
+    h = Tensor(_recurrence(mode)(a_bar.data, bx.data.copy()))
 
     def bwd(g):
         # h.grad is g: the adjoint sweeps a copy
@@ -184,6 +190,14 @@ def tape_conv_causal(u, weight, bias):
 # Sweep oracles
 # ---------------------------------------------------------------------------
 
+def step_by_step_sweep(a, b):
+    """h_t = a_t * h_{t-1} + b_t with h_0 = 0, one whole-row update a step."""
+    h = b.copy()
+    for t in range(1, a.shape[0]):
+        h[t] = a[t] * h[t - 1] + b[t]
+    return h
+
+
 def whole_array_sweep(a, b):
     """Doubling-stride sweep over the whole arrays, one level at a time."""
     aa = a.copy()
@@ -200,7 +214,7 @@ def reverse_sweep_adjoint(a, g, mode):
     """The adjoint state as that mode's forward sweep run over the
     time-reversed shifted transitions: lam_t = g_t + a_{t+1} * lam_{t+1}."""
     a_rev = np.concatenate([np.ones_like(a[:1]), a[1:][::-1]], axis=0)
-    return ssm.SWEEPS[mode](a_rev, g[::-1])[::-1]
+    return _recurrence(mode)(a_rev, g[::-1].copy())[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +270,8 @@ class LTIParams:
 def lti_scan(x, params, mode):
     """Time-invariant scan y = C h + D x of x (L,) or (L, C).
 
-    mode "recurrent" or "parallel" runs that mode's sweep from ``SWEEPS``,
-    the one the model runs; "kernel" convolves x with the global kernel
+    mode "recurrent" or "parallel" runs the model's public sweep of that
+    mode; "kernel" convolves x with the global kernel
     k_l = C a_bar^l b_bar, an independent evaluation to check them against.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -273,8 +287,8 @@ def lti_scan(x, params, mode):
         for t in range(length):
             ys[t] = np.einsum("lc,lc->c", kern[: t + 1], x[t::-1])
         return ys + params.d_skip * x
-    h = ssm.SWEEPS[mode](np.broadcast_to(a_bar, (length,) + a_bar.shape),
-                         b_bar * x[:, :, None])
+    h = _recurrence(mode)(np.broadcast_to(a_bar, (length,) + a_bar.shape),
+                          b_bar * x[:, :, None])
     return h @ params.c + params.d_skip * x
 
 

@@ -31,7 +31,7 @@ from mamba_fusion.model import PRESETS, build_model
 from mamba_fusion.ssm import SSMParams, _selective_scan
 from mamba_fusion.tc_mamba import SharedTransitionPair
 from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
-from mamba_fusion.training import TrainConfig, train, validation_mae, _batch_loss
+from mamba_fusion.training import TrainConfig, train, _batch_loss
 from oracles import (
     LTIParams, discretize, lti_scan, model_param_count, sharing_saving, sum_,
 )
@@ -305,7 +305,7 @@ def test_acceptance_07_toy_task_learning(synthetic_256, trained_variants):
     cfg = TrainConfig(lr=2e-3, epochs=150, batch_size=8, seed=0,
                       lambda_rec=0.7)
     train(model, subset, cfg, ds.unknown_text_vector)
-    mae = validation_mae(model, subset)
+    mae = evaluate_fixed(model, subset, ds.unknown_text_vector, 0.0)["mae"]
 
     test_samples = ds.split("test")
     acc_lo, acc_hi = [], []

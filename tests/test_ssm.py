@@ -12,13 +12,14 @@ from mamba_fusion.autodiff import (
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, SSMParams, _adjoint_sweep, _scan_forward_parallel,
-    _scan_forward_sequential, _selective_scan, depthwise_conv_causal,
-    linear_recurrence_parallel, linear_recurrence_sequential,
+    BiMamba, SSMParams, _adjoint_sweep, _selective_scan,
+    depthwise_conv_causal, linear_recurrence_parallel,
+    linear_recurrence_sequential,
 )
 from oracles import (
-    LTIParams, discretize, lti_scan, reverse_sweep_adjoint, sum_,
-    tape_conv_causal, tape_selective_scan, whole_array_sweep,
+    LTIParams, discretize, lti_scan, reverse_sweep_adjoint,
+    step_by_step_sweep, sum_, tape_conv_causal, tape_selective_scan,
+    whole_array_sweep,
 )
 
 
@@ -117,7 +118,7 @@ def test_integrator_case_is_prefix_sum():
     # a_bar = 1, b_bar = 1 reached through the public recurrences
     x = np.random.default_rng(8).standard_normal((9, 2, 1))
     for rec in (linear_recurrence_sequential, linear_recurrence_parallel):
-        h = rec(np.ones_like(x), x)
+        h = rec(np.ones_like(x), x.copy())
         np.testing.assert_allclose(h, np.cumsum(x, axis=0), rtol=1e-12)
 
 
@@ -145,8 +146,10 @@ def test_lti_scan_runs_the_models_sweeps(monkeypatch):
             return sweep(a, b)
         return wrapper
 
-    monkeypatch.setattr(ssm, "SWEEPS", {m: counted(m, f)
-                                        for m, f in ssm.SWEEPS.items()})
+    monkeypatch.setattr(ssm, "linear_recurrence_sequential",
+                        counted("recurrent", linear_recurrence_sequential))
+    monkeypatch.setattr(ssm, "linear_recurrence_parallel",
+                        counted("parallel", linear_recurrence_parallel))
     params = LTIParams.random(np.random.default_rng(4), channels=2,
                               state_dim=3)
     x = np.random.default_rng(5).standard_normal((7, 2))
@@ -217,32 +220,35 @@ def test_only_the_scan_node_records_on_the_tape(rec, mode):
     assert len(tape.records) == 1
 
 
-@pytest.mark.parametrize("rec", [linear_recurrence_sequential,
-                                 linear_recurrence_parallel])
+@pytest.mark.parametrize("rec,oracle", [
+    (linear_recurrence_sequential, step_by_step_sweep),
+    (linear_recurrence_parallel, whole_array_sweep)],
+    ids=["recurrent", "parallel"])
 @pytest.mark.parametrize("shape", [(1, 3, 2), (21, 7, 5), (50, 40, 12)])
-def test_recurrence_into_its_input_is_bitwise_the_fresh_result(
-        monkeypatch, rec, shape):
+def test_recurrence_writes_its_states_over_bx(monkeypatch, rec, oracle,
+                                              shape):
     # four columns per slab, so the parallel sweep runs over many slabs and
     # the last one is narrower at (21, 7, 5)
     monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", shape[0] * 8 * 4)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.2, 1.0, size=shape)
     b = rng.standard_normal(shape)
-    fresh = rec(a, b)
-    h = rec(a, b, out=b)
+    expected = oracle(a, b)
+    h = rec(a, b)
     assert h is b
-    np.testing.assert_array_equal(h, fresh)
+    np.testing.assert_array_equal(h, expected)
 
 
 @pytest.mark.parametrize("rec", [linear_recurrence_sequential,
                                  linear_recurrence_parallel])
-def test_recurrence_rejects_an_out_it_cannot_fill_in_place(rec):
+def test_recurrence_rejects_a_bx_it_cannot_sweep_in_place(rec):
     a = np.full((4, 3, 2), 0.5)
-    b = np.ones((4, 3, 2))
-    for out in (np.empty((4, 2, 3)), np.empty((4, 3, 2), dtype=np.float32),
-                np.empty((4, 3, 4))[:, :, ::2]):
-        with pytest.raises(ValueError, match="out must be"):
-            rec(a, b, out=out)
+    for a_bar, bx, message in (
+            (np.full((4, 2, 3), 0.5), np.ones((4, 3, 2)), "shape mismatch"),
+            (a, np.ones((4, 3, 4))[:, :, ::2], "C-contiguous")):
+        with pytest.raises(ValueError, match=message) as err:
+            rec(a_bar, bx)
+        assert "\n" not in str(err.value)
 
 
 def test_recurrence_diverging_adjoint_names_timestep():
@@ -285,11 +291,10 @@ def test_forward_sweep_row_check_names_the_full_checks_timestep(case):
         # the full check names the first non-finite timestep
         first = int(np.argmax(_bad_rows(h)))
         assert first == 5 and _bad_rows(h)[first:].all()
-        # the same timestep when the states overwrite b
-        for out in (None, b):
-            with pytest.raises(FloatingPointError,
-                               match=f"diverged at timestep {first}$"):
-                _scan_forward_sequential(a, b, out=out)
+        # the sweep, which writes the states over b, names the same one
+        with pytest.raises(FloatingPointError,
+                           match=f"diverged at timestep {first}$"):
+            linear_recurrence_sequential(a, b)
 
 
 @pytest.mark.parametrize("case", ["nan", "inf-then-zero"])
@@ -409,7 +414,8 @@ def _logaddexp_sum_forward(u, params, mode):
                          np.logaddexp(0.0, z)[:, :, None])
     bx *= b_sel[:, None, :]
     bx *= x[:, :, None]
-    h = ssm.SWEEPS[mode](a_bar, bx)
+    h = (linear_recurrence_sequential if mode == "recurrent"
+         else linear_recurrence_parallel)(a_bar, bx)
     terms = h * c_sel[:, None, :]
     skip = x * params.d_skip.data
     # the magnitude of what each output sums, which bounds its rounding
@@ -521,11 +527,13 @@ def test_blocked_parallel_sweep_is_bitwise_the_whole_array_sweep(
     a = rng.uniform(0.2, 1.0, size=shape)
     b = rng.standard_normal(shape)
     whole = whole_array_sweep(a, b)
-    np.testing.assert_array_equal(_scan_forward_parallel(a, b), whole)
+    np.testing.assert_array_equal(linear_recurrence_parallel(a, b.copy()),
+                                  whole)
     # one column per slab, then a width that does not divide the columns
     for block_bytes in (1, shape[0] * 8 * 4):
         monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", block_bytes)
-        np.testing.assert_array_equal(_scan_forward_parallel(a, b), whole)
+        np.testing.assert_array_equal(
+            linear_recurrence_parallel(a, b.copy()), whole)
 
 
 def test_ssm_params_invariants():

@@ -232,8 +232,9 @@ def test_head_invariant_to_time_permutation():
 def test_latent_depth_improves_toy_overfit():
     # paired training runs: depth-1 latent stack vs none on a tiny task
     from mamba_fusion.datagen import generate
+    from mamba_fusion.harness import evaluate_fixed
     from mamba_fusion.model import build_model
-    from mamba_fusion.training import TrainConfig, train, validation_mae
+    from mamba_fusion.training import TrainConfig, train
     ds = generate(8, seed=4)
     maes = {}
     for depth in (0, 1):
@@ -242,5 +243,6 @@ def test_latent_depth_improves_toy_overfit():
                           lambda_rec=0.7)
         train(model, ds.samples, cfg, ds.unknown_text_vector)
         with no_grad():
-            maes[depth] = validation_mae(model, ds.samples)
+            maes[depth] = evaluate_fixed(model, ds.samples,
+                                         ds.unknown_text_vector, 0.0)["mae"]
     assert maes[1] < maes[0]

@@ -5,10 +5,9 @@ import pytest
 
 from mamba_fusion.autodiff import Parameter, Tape, backward, mul
 from mamba_fusion.datagen import generate
+from mamba_fusion.harness import evaluate_fixed
 from mamba_fusion.model import build_model
-from mamba_fusion.training import (
-    AdamW, TrainConfig, loss_curve_csv, lr_at, train, validation_mae,
-)
+from mamba_fusion.training import AdamW, TrainConfig, loss_curve_csv, lr_at, train
 from oracles import sum_
 
 
@@ -104,8 +103,9 @@ def test_best_validation_state_is_restored(tiny_setup):
     model = build_model("desk", seed=1)
     history = train(model, ds.samples[:6], cfg, ds.unknown_text_vector,
                     valid_samples=ds.samples[6:])
-    restored = validation_mae(model, ds.samples[6:])
-    assert restored == pytest.approx(history["best_val_mae"])
+    restored = evaluate_fixed(model, ds.samples[6:], ds.unknown_text_vector,
+                              0.0)["mae"]
+    assert restored == history["best_val_mae"]
     assert history["best_val_mae"] == min(m for _, m in history["val_mae"])
 
 
