@@ -2,10 +2,17 @@
 
 Every computation in this package flows through the ``Tensor`` primitives
 defined here. Forward calls record closures on the active ``Tape``;
-``backward`` replays them in reverse order and accumulates (+=) gradients,
-which makes parameter sharing correct by construction. A central
-finite-difference oracle (``finite_difference_check``) is the independent
-route used to validate all analytic gradients.
+``backward`` replays them in reverse order and sums every contribution a
+tensor receives, which makes parameter sharing correct by construction. A
+central finite-difference oracle (``finite_difference_check``) is the
+independent route used to validate all analytic gradients.
+
+Gradients are handed over, not copied. A tensor's first contribution
+becomes its gradient as it is; a later one makes a new array, the sum of
+the two. So a gradient array may be shared (``add`` hands the same ``g`` to
+both inputs) or be a view of another (``reshape``, ``flip_time``), and
+nothing may write into one: a backward function never writes to an array
+after returning it, nor to the ``g`` it is given.
 """
 
 from __future__ import annotations
@@ -119,10 +126,15 @@ class Tensor:
         return self.data.size
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + g
+        """Take ``g`` as the gradient if none is held, else hold a new array,
+        the sum of the two; neither array is written."""
+        g = np.asarray(g, dtype=self.data.dtype)
+        if g.shape != self.data.shape:
+            raise ValueError(f"accumulate_grad: gradient shape {g.shape} "
+                             f"for a tensor of shape {self.data.shape}")
+        # the raw slot: a Parameter's property would zero-fill an empty one
+        held = _grad_slot.__get__(self)
+        _grad_slot.__set__(self, g if held is None else held + g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -142,9 +154,9 @@ _grad_slot = Tensor.grad
 class Parameter(Tensor):
     """A trainable Tensor whose gradient persists across tapes until zeroed.
 
-    The zero gradient is allocated the first time ``grad`` is read, so a
-    model that is only built or loaded and then predicts holds no gradient
-    buffers."""
+    ``zero_grad`` releases the gradient, and zeros are allocated only when
+    ``grad`` is read while none is held, so a model that only predicts
+    holds no gradient buffers."""
 
     __slots__ = ("name",)
 
@@ -165,7 +177,7 @@ class Parameter(Tensor):
         _grad_slot.__set__(self, g)
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
 
     def __repr__(self):
         return f"Parameter({self.name or 'unnamed'}, shape={self.shape})"
@@ -432,7 +444,8 @@ def transpose(a, axes=None):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(input) into every tensor on the active tape."""
+    """Give every tensor on the active tape d(loss)/d(tensor), summed onto
+    any gradient it holds; arrays are handed over (see the module doc)."""
     tape = _active_tape
     if tape is None:
         raise RuntimeError("backward: no active tape")

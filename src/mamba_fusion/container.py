@@ -137,11 +137,13 @@ def save_named(directory, named_arrays, extra_manifest=()):
     for i, (name, arr) in enumerate(named_arrays):
         shape = "x".join(str(s) for s in np.asarray(arr).shape) or "scalar"
         entries.append((f"tensor_{i}", f"{name}:{shape}"))
-    # tensors first: a write that fails leaves the old pair in place
+    # both files are written in full before either is moved into place, so
+    # a write that fails leaves the old pair as it was
     with atomic_open(d / "tensors.bin", "wb") as fh:
         for _, arr in named_arrays:
             write_tensor(fh, np.asarray(arr, dtype=np.float64))
-    write_manifest(d / "manifest.txt", entries)
+        fh.flush()
+        write_manifest(d / "manifest.txt", entries)
 
 
 def manifest_value(manifest, key, parse):

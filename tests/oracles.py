@@ -6,8 +6,9 @@ recurrence as a tape node over the package's plain-array sweep and adjoint,
 are the building blocks of the tape-path oracles: ``tape_selective_scan``,
 the primitive composition the fused scan node replaces, and
 ``tape_recon_loss`` and ``tape_task_loss``, the compositions the one-node
-loss terms replace. The time-invariant oracle (``LTIParams``, ``lti_scan``,
-``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
+loss terms replace. ``copy_on_first_accumulate_grad`` is gradient
+accumulation that copies, which the hand-over accumulation must match. The
+time-invariant oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
 time, so it checks the sweeps and zero-order hold the model runs, and a
 test that patches them sees every call.
 """
@@ -184,6 +185,16 @@ def tape_conv_causal(u, weight, bias):
         term = mul(shifted, wk)
         acc = term if acc is None else add(acc, term)
     return add(acc, bias)
+
+
+def copy_on_first_accumulate_grad(self, g):
+    """``Tensor.accumulate_grad`` as it was before gradients were handed
+    over: the first contribution is copied, and a Parameter's is added to
+    the zeros its ``grad`` property allocates."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+    else:
+        self.grad = self.grad + g
 
 
 # ---------------------------------------------------------------------------

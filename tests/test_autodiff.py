@@ -334,6 +334,34 @@ def test_parameter_grad_starts_zero():
     assert np.all(p.grad == 0.0)
 
 
+def test_zero_grad_releases_the_gradient():
+    p = Parameter(np.ones((2, 2)))
+    with Tape():
+        backward(sum_(mul(p, p)))
+    p.zero_grad()
+    assert autodiff._grad_slot.__get__(p) is None
+    np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
+
+
+def test_first_contribution_is_handed_over():
+    a, b = Tensor(np.ones(3)), Tensor(np.ones(3))
+    with Tape():
+        out = add(a, b)
+        backward(sum_(out))
+    assert a.grad is out.grad and b.grad is out.grad
+
+
+def test_gradient_of_another_shape_is_rejected():
+    p = Parameter(np.ones(3), name="p")
+    out = Tensor(np.ones(3))
+    with Tape() as tape:
+        tape.append(out, (p,), lambda g: (g.reshape(1, 3),))
+        loss = sum_(out)
+        with pytest.raises(ValueError, match=re.escape(
+                "gradient shape (1, 3) for a tensor of shape (3,)")):
+            backward(loss)
+
+
 @pytest.mark.parametrize("module", [autodiff, mamba_fusion],
                          ids=lambda m: m.__name__)
 def test_every_public_name_resolves(module):

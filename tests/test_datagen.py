@@ -177,6 +177,26 @@ def test_manifest_shape_mismatch_raises_shape_error(tmp_path):
         load(tmp_path / "data")
 
 
+@pytest.mark.parametrize("failing", ["write_tensor", "write_manifest"])
+def test_failed_save_leaves_the_old_pair_byte_identical(
+        tmp_path, monkeypatch, failing):
+    d = tmp_path / "pair"
+    container.save_named(d, [("w", np.zeros(3))], [("version", "old")])
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(container, failing, fail)
+    with pytest.raises(OSError, match="disk full"):
+        container.save_named(d, [("w", np.ones(3))], [("version", "new")])
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+    manifest, named = container.load_named(d)
+    assert manifest["version"] == "old"
+    np.testing.assert_array_equal(dict(named)["w"], np.zeros(3))
+
+
 @pytest.mark.parametrize("name,bad", [
     ("labels", np.nan), ("unknown_text_vector", np.inf),
     ("sample1.x_t", -np.inf), ("sample0.x_a", np.nan)])

@@ -5,13 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mamba_fusion.autodiff import Module, Parameter, Tape, backward, no_grad
+from mamba_fusion import autodiff
+from mamba_fusion.autodiff import (
+    Module, Parameter, Tape, Tensor, backward, no_grad,
+)
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
     CorruptionConfig, corrupt_batch, task_loss_tensor,
 )
 from mamba_fusion.model import ModelConfig, PRESETS, TextFusionModel, build_model
-from mamba_fusion.training import _batch_loss
+from mamba_fusion.training import AdamW, _batch_loss
+from oracles import copy_on_first_accumulate_grad
 
 
 def test_presets_cover_the_published_configurations():
@@ -147,6 +151,57 @@ def test_every_parameter_receives_a_gradient(overrides):
         # the fixed time resampling is no trained state either
         assert [al.resample.grad for al in (
             model.align_t, model.align_v, model.align_a)] == [None] * 3
+
+
+def _desk_gradients(overrides):
+    """A desk model's parameters after one backward over a corrupted batch
+    of 4, and an AdamW over them."""
+    model = build_model("desk", seed=0, **overrides)
+    ds = generate(4, seed=1)
+    batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
+                          ds.unknown_text_vector)
+    with Tape():
+        loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
+        backward(loss)
+    return model.parameters(), AdamW(model.parameters())
+
+
+@pytest.mark.parametrize("overrides", [{}, {"use_attention": True}],
+                         ids=["default", "attention"])
+def test_handed_over_gradients_match_copied_ones_bitwise(
+        monkeypatch, overrides):
+    params, _ = _desk_gradients(overrides)
+    got = [p.grad for p in params]
+    monkeypatch.setattr(Tensor, "accumulate_grad",
+                        copy_on_first_accumulate_grad)
+    want = [p.grad for p in _desk_gradients(overrides)[0]]
+    for p, g, w in zip(params, got, want):
+        assert g.tobytes() == w.tobytes(), p.name
+
+
+@pytest.mark.parametrize("overrides", [{}, {"use_attention": True}],
+                         ids=["default", "attention"])
+def test_no_gradient_array_is_written_after_hand_over(
+        monkeypatch, overrides):
+    # every array handed to accumulate_grad and every gradient it leaves a
+    # tape record's output, an input leaf or a parameter holding keeps its
+    # bytes through the rest of backward and one AdamW step
+    seen = []
+    accumulate_grad = Tensor.accumulate_grad
+
+    def recording(self, g):
+        seen.append((g, g.copy()))
+        accumulate_grad(self, g)
+        held = autodiff._grad_slot.__get__(self)
+        seen.append((held, held.copy()))
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+    _, opt = _desk_gradients(overrides)
+    monkeypatch.undo()
+    opt.step()
+    changed = [i for i, (g, before) in enumerate(seen)
+               if g.tobytes() != before.tobytes()]
+    assert len(seen) > 1000 and changed == []
 
 
 def _parameter_attributes(obj, out):

@@ -5,9 +5,13 @@ import pytest
 
 from mamba_fusion.autodiff import Parameter, Tape, backward, mul
 from mamba_fusion.datagen import generate
-from mamba_fusion.harness import evaluate_fixed
+from mamba_fusion.harness import (
+    CorruptionConfig, corrupt_batch, evaluate_fixed,
+)
 from mamba_fusion.model import build_model
-from mamba_fusion.training import AdamW, TrainConfig, loss_curve_csv, lr_at, train
+from mamba_fusion.training import (
+    AdamW, TrainConfig, _batch_loss, loss_curve_csv, lr_at, train,
+)
 from oracles import sum_
 
 
@@ -62,6 +66,36 @@ def test_adamw_descends_a_quadratic():
             backward(sum_(mul(p, p)))
         opt.step()
     assert np.all(np.abs(p.data) < 0.1)
+
+
+def test_desk_training_step_peak_memory():
+    # one step of a batch of 8: zero_grad releases the last step's
+    # gradients and each first backward contribution becomes a gradient as
+    # it is, which puts the peak at about 13.6 MiB; copying each first
+    # contribution, or adding it into a zero-filled buffer, takes it to
+    # about 15.4
+    import tracemalloc
+    model = build_model("desk", seed=0)
+    ds = generate(8, seed=1)
+    opt = AdamW(model.parameters())
+
+    def step(epoch):
+        batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
+                              ds.unknown_text_vector, epoch=epoch)
+        opt.zero_grad()
+        with Tape():
+            loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
+            backward(loss)
+        opt.step()
+
+    step(1)          # the moments and the last step's gradients are held
+    tracemalloc.start()
+    try:
+        step(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
