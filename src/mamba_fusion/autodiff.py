@@ -13,6 +13,12 @@ the two. So a gradient array may be shared (``add`` hands the same ``g`` to
 both inputs) or be a view of another (``reshape``, ``flip_time``), and
 nothing may write into one: a backward function never writes to an array
 after returning it, nor to the ``g`` it is given.
+
+One ``backward`` consumes a tape. It releases each record's backward
+function once that function has run, which frees every array only the
+closure saved (a scan's states, say) during the sweep. Each record keeps
+its output and inputs, so the records and their outputs' gradients can
+still be counted.
 """
 
 from __future__ import annotations
@@ -445,7 +451,9 @@ def transpose(a, axes=None):
 
 def backward(loss):
     """Give every tensor on the active tape d(loss)/d(tensor), summed onto
-    any gradient it holds; arrays are handed over (see the module doc)."""
+    any gradient it holds; arrays are handed over (see the module doc).
+    Each record becomes ``(output, inputs, None)`` as its backward runs,
+    which frees what only that backward held."""
     tape = _active_tape
     if tape is None:
         raise RuntimeError("backward: no active tape")
@@ -455,12 +463,13 @@ def backward(loss):
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, bwd in reversed(tape.records):
-        if out.grad is None:
-            continue
-        grads = bwd(out.grad)
-        for t, g in zip(inputs, grads):
-            t.accumulate_grad(g)
+    records = tape.records
+    for i in range(len(records) - 1, -1, -1):
+        out, inputs, bwd = records[i]
+        records[i] = (out, inputs, None)
+        if out.grad is not None:
+            for t, g in zip(inputs, bwd(out.grad)):
+                t.accumulate_grad(g)
 
 
 # ---------------------------------------------------------------------------

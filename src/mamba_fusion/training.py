@@ -73,10 +73,12 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = self.v = None      # allocated by the first step
 
     def step(self):
+        if self.t == 0:
+            self.m = [np.zeros_like(p.data) for p in self.params]
+            self.v = [np.zeros_like(p.data) for p in self.params]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):

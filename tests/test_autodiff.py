@@ -1,6 +1,7 @@
 """Tests for the tape-based reverse-mode autodiff substrate."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +361,32 @@ def test_gradient_of_another_shape_is_rejected():
         with pytest.raises(ValueError, match=re.escape(
                 "gradient shape (1, 3) for a tensor of shape (3,)")):
             backward(loss)
+
+
+def test_backward_releases_each_closure_and_keeps_the_records():
+    # a 1 MiB array that only the node's backward function holds is freed
+    # by backward itself, while the tape is still alive; the records stay,
+    # so their number and which outputs a gradient reached can be counted
+    def holding(saved):
+        return lambda g: (g * saved[:3],)
+
+    saved = np.full(2 ** 17, 2.0)
+    alive = weakref.ref(saved)
+    p = Parameter(np.ones(3), name="p")
+    out = Tensor(np.ones(3))
+    with Tape() as tape:
+        tape.append(out, (p,), holding(saved))
+        del saved
+        loss = sum_(out)
+        assert alive() is not None
+        backward(loss)
+        assert alive() is None
+        assert [bwd for _, _, bwd in tape.records] == [None, None]
+        assert len(tape.records) == 2
+        assert tape.records[0][0] is out and tape.records[1][0] is loss
+        np.testing.assert_array_equal(out.grad, np.ones(3))
+        np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
 
 
 @pytest.mark.parametrize("module", [autodiff, mamba_fusion],
