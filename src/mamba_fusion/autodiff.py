@@ -138,9 +138,7 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ValueError(f"accumulate_grad: gradient shape {g.shape} "
                              f"for a tensor of shape {self.data.shape}")
-        # the raw slot: a Parameter's property would zero-fill an empty one
-        held = _grad_slot.__get__(self)
-        _grad_slot.__set__(self, g if held is None else held + g)
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -153,34 +151,18 @@ class Tensor:
         return mul(self, _lift(other))
 
 
-# Tensor's storage for ``grad``, which Parameter's property shadows
-_grad_slot = Tensor.grad
-
-
 class Parameter(Tensor):
     """A trainable Tensor whose gradient persists across tapes until zeroed.
 
-    ``zero_grad`` releases the gradient, and zeros are allocated only when
-    ``grad`` is read while none is held, so a model that only predicts
-    holds no gradient buffers."""
+    ``grad`` is None until backward hands it a contribution, and None again
+    after ``zero_grad``; a reader that needs zeros supplies them, so a
+    model that only predicts holds no gradient buffers."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name=""):
         super().__init__(data)
         self.name = name
-
-    @property
-    def grad(self):
-        g = _grad_slot.__get__(self)
-        if g is None:
-            g = np.zeros_like(self.data)
-            _grad_slot.__set__(self, g)
-        return g
-
-    @grad.setter
-    def grad(self, g):
-        _grad_slot.__set__(self, g)
 
     def zero_grad(self):
         self.grad = None
@@ -495,7 +477,8 @@ def finite_difference_check(f, params, eps=1e-5, per_coordinate=None):
     with Tape():
         loss = f()
         backward(loss)
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad
+                for p in params]
 
     worst = 0.0
     with no_grad():

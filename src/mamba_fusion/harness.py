@@ -86,9 +86,9 @@ def corrupt_sample(sample, cfg, unknown_text_vector, sample_index=0, epoch=0):
                            sample.x_t, sample.y)
 
 
-def corrupt_batch(samples, cfg, unknown_text_vector, epoch=0, index_offset=0):
+def corrupt_batch(samples, cfg, unknown_text_vector, epoch=0):
     return [corrupt_sample(s, cfg, unknown_text_vector,
-                           sample_index=index_offset + i, epoch=epoch)
+                           sample_index=i, epoch=epoch)
             for i, s in enumerate(samples)]
 
 

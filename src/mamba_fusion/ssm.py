@@ -271,18 +271,14 @@ def depthwise_conv_causal(u, weight, bias):
     """Per-channel causal convolution over time as one tape node.
 
     weight is (K, C); out_t = sum_k weight_k * u_{t-k} + bias, accumulated
-    in order k = 0..K-1 over the zero-padded shifted input.
+    in order k = 0..K-1, where a term with t < k is padding and is skipped.
     """
     x = u.data
     w = weight.data
     length = x.shape[0]
     acc = x * w[0]
-    shifted = np.zeros_like(x)
-    for k in range(1, w.shape[0]):
-        if k < length:
-            shifted[k:] = x[:length - k]
-        shifted[:k] = 0.0
-        acc += shifted * w[k]
+    for k in range(1, min(w.shape[0], length)):
+        acc[k:] += x[:length - k] * w[k]
     _count_macs(w.shape[0] * x.size)
     out = Tensor(acc + bias.data)
     _check_finite("depthwise_conv_causal", out.data)

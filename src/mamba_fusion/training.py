@@ -82,7 +82,8 @@ class AdamW:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            g = p.grad
+            # no gradient still decays the moments and the weights
+            g = 0.0 if p.grad is None else p.grad
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)

@@ -189,8 +189,7 @@ def tape_conv_causal(u, weight, bias):
 
 def copy_on_first_accumulate_grad(self, g):
     """``Tensor.accumulate_grad`` as it was before gradients were handed
-    over: the first contribution is copied, and a Parameter's is added to
-    the zeros its ``grad`` property allocates."""
+    over: the first contribution is copied, a later one is added."""
     if self.grad is None:
         self.grad = np.array(g, dtype=self.data.dtype, copy=True)
     else:

@@ -44,7 +44,7 @@ def test_lr_schedule_is_deterministic():
 def test_adamw_decoupled_decay_shrinks_params_with_zero_grads():
     p = Parameter(np.full(3, 2.0), name="p")
     opt = AdamW([p], lr=0.1, weight_decay=0.5)
-    opt.step()   # grad is zero; only decay applies
+    opt.step()   # no gradient is held; only decay applies
     np.testing.assert_allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0, rtol=1e-12)
 
 
@@ -55,6 +55,31 @@ def test_adamw_first_step_moves_against_gradient_by_lr():
     opt.step()
     # bias-corrected first Adam step has unit magnitude
     np.testing.assert_allclose(p.data, 1.0 - 0.01, rtol=1e-6)
+
+
+def test_parameter_the_loss_does_not_reach_holds_no_gradient():
+    used = Parameter(np.array([1.0, 2.0]), name="used")
+    unused = Parameter(np.array([3.0]), name="unused")
+    with Tape():
+        backward(sum_(mul(used, used)))
+    np.testing.assert_array_equal(used.grad, [2.0, 4.0])
+    assert unused.grad is None
+
+
+def test_adamw_steps_a_missing_gradient_as_zeros_bitwise():
+    # no gradient still decays the moments and the weights, byte for byte
+    # as a zero array would
+    first = np.array([-0.0, 0.0, 1.5, -2e-3])
+    twins = []
+    for second in (None, np.zeros(4)):
+        p = Parameter(np.array([0.5, -1.0, 2.0, 0.0]), name="p")
+        opt = AdamW([p], lr=0.01, weight_decay=0.1)
+        p.grad = first.copy()
+        opt.step()
+        p.grad = None if second is None else second.copy()
+        opt.step()
+        twins.append([a.tobytes() for a in (p.data, opt.m[0], opt.v[0])])
+    assert twins[0] == twins[1]
 
 
 def test_adamw_allocates_its_moments_at_the_first_step():
