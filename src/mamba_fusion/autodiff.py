@@ -33,7 +33,7 @@ __all__ = [
     "backward",
     "finite_difference_check",
     "Module",
-    "add", "mul", "div", "matmul", "silu", "relu", "softmax_lastdim",
+    "add", "mul", "matmul", "silu", "relu", "softmax_lastdim",
     "l2_normalize_lastdim", "layer_norm", "flip_time", "concat",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
@@ -242,22 +242,6 @@ def mul(a, b):
     return out
 
 
-def div(a, b):
-    if np.any(b.data == 0):
-        raise FloatingPointError("div: division by zero")
-    out = Tensor(a.data / b.data)
-    _check_finite("div", out.data)
-    _count_macs(out.size)
-
-    def bwd(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    _record(out, (a, b), bwd)
-    return out
-
-
 def matmul(a, b):
     """Matrix product over the last two axes; any leading axes are stacked
     (equal on both operands, never broadcast)."""
@@ -302,16 +286,20 @@ def relu(a):
     return out
 
 
-def softmax_lastdim(a):
+def softmax_lastdim(a, temperature):
+    """Softmax over the last axis of ``a / temperature``, a positive float."""
+    z = a.data / temperature
+    _check_finite("softmax_lastdim", z)
+    _count_macs(z.size)
     # Max-subtraction keeps the exponentials bounded.
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def bwd(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        return (s * (g - dot) / temperature,)
 
     _record(out, (a,), bwd)
     return out

@@ -166,7 +166,6 @@ class SSMParams(Module):
     """
 
     def __init__(self, channels, state_dim, rng, name=""):
-        self.channels = channels
         self.state_dim = state_dim
         # -A spans 1..N on every channel
         init = np.log(np.tile(np.arange(1, state_dim + 1, dtype=np.float64),
@@ -311,7 +310,6 @@ class BiMamba(Module):
         if scan_mode not in SCAN_MODES:
             raise ValueError(f"unknown scan mode {scan_mode!r}; "
                              f"choose from {', '.join(SCAN_MODES)}")
-        self.d_model = d_model
         self.inner = expansion * d_model
         self.scan_mode = scan_mode
         self.name = name

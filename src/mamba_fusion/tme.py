@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Module, Parameter, Tensor, _check_finite, _record, add, div,
+    Module, Parameter, Tensor, _check_finite, _record, add,
     l2_normalize_lastdim, matmul, mul, no_grad, relu, softmax_lastdim,
     transpose,
 )
@@ -75,8 +75,7 @@ def token_similarity(h_x, h_t, tau):
         raise ValueError("temperature must be positive")
     xn = l2_normalize_lastdim(h_x)
     tn = l2_normalize_lastdim(h_t)
-    logits = div(matmul(xn, transpose(tn)), Tensor(float(tau)))
-    return softmax_lastdim(logits)
+    return softmax_lastdim(matmul(xn, transpose(tn)), float(tau))
 
 
 def threshold_mask(s, length):

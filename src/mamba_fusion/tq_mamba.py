@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Module, Parameter, Tensor, add, concat, div, layer_norm, matmul,
+    Module, Parameter, add, concat, layer_norm, matmul,
     max_over_time, reshape, softmax_lastdim, transpose,
 )
 
@@ -27,7 +27,6 @@ class CrossAttention(Module):
         if d_model % heads != 0:
             raise ValueError(
                 f"model dim {d_model} not divisible by {heads} heads")
-        self.d_model = d_model
         self.heads = heads
         self.head_dim = d_model // heads
         s = 1.0 / np.sqrt(d_model)
@@ -50,8 +49,8 @@ class CrossAttention(Module):
         qh = transpose(reshape(q, split), (1, 0, 2))
         kh_t = transpose(reshape(k, split), (1, 2, 0))
         vh = transpose(reshape(v, split), (1, 0, 2))
-        scale = Tensor(np.sqrt(float(self.head_dim)))
-        return softmax_lastdim(div(matmul(qh, kh_t), scale)), vh
+        scale = np.sqrt(float(self.head_dim))
+        return softmax_lastdim(matmul(qh, kh_t), scale), vh
 
     def attend(self, query, keyvalue):
         """Attention output before the residual connection."""

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
-None of this runs outside the tests. The tape primitives (``sub``, ``neg``,
-``exp``, ``softplus``, ``sum_``) and ``tape_recurrence``, the linear
+None of this runs outside the tests. The tape primitives (``sub``, ``div``,
+``neg``, ``exp``, ``softplus``, ``sum_``) and ``tape_recurrence``, the linear
 recurrence as a tape node over the package's plain-array sweep and adjoint,
 are the building blocks of the tape-path oracles: ``tape_selective_scan``,
 the primitive composition the fused scan node replaces, and
@@ -21,8 +21,8 @@ import numpy as np
 
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    Tensor, _check_finite, _record, _sigmoid_np, _unbroadcast, add, concat,
-    div, matmul, mul, reshape, slicer, transpose,
+    Tensor, _check_finite, _count_macs, _record, _sigmoid_np, _unbroadcast,
+    add, concat, matmul, mul, reshape, slicer, transpose,
 )
 
 
@@ -36,6 +36,22 @@ def sub(a, b):
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    _record(out, (a, b), bwd)
+    return out
+
+
+def div(a, b):
+    if np.any(b.data == 0):
+        raise FloatingPointError("div: division by zero")
+    out = Tensor(a.data / b.data)
+    _check_finite("div", out.data)
+    _count_macs(out.size)
+
+    def bwd(g):
+        ga = g / b.data
+        gb = -g * a.data / (b.data * b.data)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     _record(out, (a, b), bwd)
     return out

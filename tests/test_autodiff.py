@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import mamba_fusion
 from mamba_fusion import autodiff
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, add, backward, concat, div,
+    MacCounter, Parameter, Tape, Tensor, add, backward, concat,
     finite_difference_check, flip_time, l2_normalize_lastdim, layer_norm,
     matmul, max_over_time, mul, no_grad, relu, reshape, silu, slicer,
     softmax_lastdim, transpose,
 )
-from oracles import exp, neg, softplus, sub, sum_
+from oracles import div, exp, neg, softplus, sub, sum_
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def test_exp_identity_case():
 
 
 def test_softmax_symmetry_case():
-    out = softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
+    out = softmax_lastdim(Tensor([0.0, 0.0, 0.0]), 1.0)
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
 
 
@@ -207,7 +207,7 @@ _UNARY_OPS = [
     ("softplus", softplus),
     ("silu", silu),
     ("neg", neg),
-    ("softmax_lastdim", softmax_lastdim),
+    ("softmax_lastdim", lambda t: softmax_lastdim(t, 0.7)),
     ("l2_normalize_lastdim", l2_normalize_lastdim),
     ("flip_time", flip_time),
     ("transpose", transpose),
@@ -301,10 +301,31 @@ def test_flip_time_is_an_involution(seed):
 def test_softmax_rows_sum_to_one_and_shift_invariant(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((5, 6)) * 5.0
-    s = softmax_lastdim(Tensor(x))
+    s = softmax_lastdim(Tensor(x), 1.0)
     np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), atol=1e-12)
-    shifted = softmax_lastdim(Tensor(x + 123.456))
+    shifted = softmax_lastdim(Tensor(x + 123.456), 1.0)
     np.testing.assert_allclose(s.data, shifted.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [0.07, 2.0])
+@pytest.mark.parametrize("shape", [(5, 7), (4, 5, 7)])
+def test_softmax_temperature_is_bitwise_the_division_it_folds(shape,
+                                                              temperature):
+    # one node against the composition it replaced: div, then softmax at 1.0
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape)
+    probe = Tensor(rng.standard_normal(shape))
+    results = []
+    for op in (lambda a: softmax_lastdim(a, temperature),
+               lambda a: softmax_lastdim(div(a, Tensor(temperature)), 1.0)):
+        a = Parameter(x, name="a")
+        with Tape():
+            out = op(a)
+            backward(sum_(mul(out, probe)))
+        results.append((out.data, a.grad))
+    (folded, folded_grad), (composed, composed_grad) = results
+    np.testing.assert_array_equal(folded, composed)
+    np.testing.assert_array_equal(folded_grad, composed_grad)
 
 
 def test_l2_normalize_rejects_zero_rows():

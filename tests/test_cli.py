@@ -244,6 +244,16 @@ def test_numeric_failure_in_training_names_the_step(tmp_path, capsys,
     assert err.startswith(f"numeric failure: {message}")
 
 
+def test_vanishing_temperature_fails_in_the_softmax(tmp_path, capsys):
+    # a positive tau passes the config check; the scores over it overflow
+    code = main(["eval", "--n", "8", "--set", "model.tau=1e-310",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "numeric failure: softmax_lastdim: non-finite values encountered"]
+
+
 def test_train_with_an_empty_split_is_a_usage_error(tmp_path, capsys):
     # 2 samples split 1 / 0 / 1: nothing to select the best epoch on
     code = main(["train", "--n", "2", "--epochs", "1",

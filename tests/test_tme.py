@@ -125,6 +125,16 @@ def test_similarity_invariant_under_positive_scaling():
     np.testing.assert_allclose(s1, s2, atol=1e-12)
 
 
+def test_similarity_records_five_tape_nodes():
+    # two L2 normalizations, the transpose, the matmul and the softmax,
+    # which also divides by the temperature
+    rng = np.random.default_rng(8)
+    with Tape() as tape:
+        token_similarity(Tensor(rng.standard_normal((4, 5))),
+                         Tensor(rng.standard_normal((6, 5))), tau=0.07)
+    assert len(tape.records) == 5
+
+
 def test_similarity_rejects_bad_tau_and_zero_tokens():
     h = Tensor(np.ones((2, 3)))
     with pytest.raises(ValueError, match="temperature"):
