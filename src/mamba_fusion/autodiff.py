@@ -10,7 +10,7 @@ independent route used to validate all analytic gradients.
 Gradients are handed over, not copied. A tensor's first contribution
 becomes its gradient as it is; a later one makes a new array, the sum of
 the two. So a gradient array may be shared (``add`` hands the same ``g`` to
-both inputs) or be a view of another (``reshape``, ``flip_time``), and
+both inputs) or be a view of another (``reshape``, ``transpose``), and
 nothing may write into one: a backward function never writes to an array
 after returning it, nor to the ``g`` it is given.
 
@@ -34,7 +34,7 @@ __all__ = [
     "finite_difference_check",
     "Module",
     "add", "mul", "matmul", "silu", "relu", "softmax_lastdim",
-    "l2_normalize_lastdim", "layer_norm", "flip_time", "concat",
+    "l2_normalize_lastdim", "layer_norm", "concat",
     "max_over_time", "slicer", "reshape", "transpose",
 ]
 
@@ -341,16 +341,6 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         return dx, dgamma.reshape(gamma.shape), dbeta.reshape(beta.shape)
 
     _record(out, (x, gamma, beta), bwd)
-    return out
-
-
-def flip_time(a):
-    out = Tensor(np.flip(a.data, axis=0).copy())
-
-    def bwd(g):
-        return (np.flip(g, axis=0),)
-
-    _record(out, (a,), bwd)
     return out
 
 

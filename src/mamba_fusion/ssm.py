@@ -2,15 +2,16 @@
 
 Zero-order-hold discretization (``_zoh``), the linear recurrence in two
 evaluation orders (``linear_recurrence_*``, which check, count and sweep
-plain arrays, writing the states over their input), the selective scan
-and the causal conv as fused tape nodes, and the bidirectional block every
-fusion stage is built from. The recurrence records nothing on the tape:
-the selective scan's backward runs its adjoint, one in-place
-backward-in-time sweep (``_adjoint_sweep``) for both orders. The default
-order, "recurrent", sweeps step by step in L - 1 multiplies per column; the
-"parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). The
-selective scan's forward sweeps over its B_bar*u buffer, so it holds two
-full (L, N, C) arrays, A_bar and that one.
+plain arrays, writing the states over their input), the causal conv over
+plain arrays, one scan direction (conv, SiLU and selective scan) as one
+fused tape node, and the bidirectional block every fusion stage is built
+from. The node saves the SiLU output, the step-size logits, B, C and the
+states; its backward recomputes the conv, its sigmoid and exp(delta*A) and
+runs the recurrence's adjoint, one in-place backward-in-time sweep
+(``_adjoint_sweep``) for both orders. The default order, "recurrent",
+sweeps step by step in L - 1 multiplies per column; the "parallel"
+doubling-stride prefix scan makes 2 L ceil(log2 L). The forward holds two
+full (L, N, C) arrays, A_bar and the B_bar*x buffer the sweep runs over.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .autodiff import (
     Module, Parameter, Tensor, _check_finite, _count_macs, _record,
-    _sigmoid_np, add, flip_time, layer_norm, matmul, mul, silu, slicer,
+    _sigmoid_np, add, layer_norm, matmul, mul, silu, slicer,
 )
 
 
@@ -40,13 +41,15 @@ def _zoh(a, delta):
     Returns a_bar = exp(delta*a), exponentiated in place over the product,
     and q = (a_bar - 1)/a, so that b_bar = q*b, as two fresh arrays of the
     broadcast shape. a must be elementwise negative, delta elementwise
-    positive. The selective scan passes a as (N, C) and delta as (L, 1, C),
-    so both come out state-major, (L, N, C).
+    positive, or a numeric failure is raised. The selective scan passes a
+    as (N, C) and delta as (L, 1, C), so both come out state-major.
     """
     if np.any(a >= 0):
-        raise ValueError("discretize: state matrix must be strictly negative")
+        raise FloatingPointError(
+            "discretize: state matrix must be strictly negative")
     if np.any(delta <= 0):
-        raise ValueError("discretize: step size must be strictly positive")
+        raise FloatingPointError(
+            "discretize: step size must be strictly positive")
     # asarray turns the product of two scalars into a writable 0-d array
     a_bar = np.asarray(delta * a)
     np.exp(a_bar, out=a_bar)
@@ -188,33 +191,54 @@ def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _selective_scan(u, params, mode):
-    """One selective-scan direction over u (L, C) as a single tape node.
+def depthwise_conv_causal(x, w, bias):
+    """Per-channel causal convolution over time of an (L, C) array.
 
-    The forward runs the primitive composition softplus -> ZOH -> B_bar*u
-    -> recurrence -> C readout + D skip. Every full-size array is
-    state-major, (L, N, C), so each broadcast runs along a contiguous row
-    of C channels; A is a_log's (C, N) transposed at call time. The readout
-    y_t = C_t h_t is one stacked vector-matrix product over the state axis,
-    as in Mamba's reference scan (Gu & Dao 2023). Backward keeps only u,
-    the step-size logits, B, C and the states h, and recomputes
-    exp(delta*A) (the recomputation of Mamba, section 3.3). The sweep
-    writes h over the B_bar*u buffer, so the forward holds two full arrays,
-    A_bar and that one, with or without a tape. Since
-    h_t = A_bar_t h_{t-1} + B_bar_t u_t and B_bar = (A_bar - 1)/A * B, the
-    gradient with respect to delta*A is lam * (h + B*u/A), with lam the
-    adjoint state.
+    w is (K, C); out_t = sum_k w_k * x_{t-k} + bias, accumulated in order
+    k = 0..K-1, where a term with t < k is padding and is skipped.
     """
-    # the public recurrences are looked up at call time, so a wrapper put
-    # on the module attribute sees every call
+    length = x.shape[0]
+    acc = x * w[0]
+    for k in range(1, min(w.shape[0], length)):
+        acc[k:] += x[:length - k] * w[k]
+    _count_macs(w.shape[0] * x.size)
+    acc += bias
+    _check_finite("depthwise_conv_causal", acc)
+    return acc
+
+
+def _selective_scan(u, conv_w, conv_b, params, mode, reverse):
+    """One scan direction of a BiMamba over u (L, C) as a single tape node.
+
+    The causal conv, SiLU and selective scan run over u, or over u flipped
+    in time when reverse is set; the output is in forward time. The scan
+    is the primitive composition softplus -> ZOH -> B_bar*x -> recurrence
+    -> C readout + D skip over the SiLU output x. Every full-size array is
+    state-major, (L, N, C), so each broadcast runs along a contiguous row
+    of C channels; A is a_log's (C, N) transposed at call time. The
+    readout y_t = C_t h_t is one stacked vector-matrix product over the
+    state axis, as in Mamba's reference scan (Gu & Dao 2023). Backward
+    keeps x, the step-size logits, B, C and the states h, and recomputes
+    exp(delta*A), the conv output and its sigmoid (the recomputation of
+    Mamba, section 3.3). The sweep writes h over the B_bar*x buffer, so
+    the forward holds two full arrays, A_bar and that one, with or without
+    a tape. Since h_t = A_bar_t h_{t-1} + B_bar_t x_t and
+    B_bar = (A_bar - 1)/A * B, the gradient with respect to delta*A is
+    lam * (h + B*x/A), with lam the adjoint state.
+    """
+    # the public conv and recurrences are looked up at call time, so a
+    # wrapper put on the module attribute sees every call
     recurrence = linear_recurrence_sequential if mode == "recurrent" \
         else linear_recurrence_parallel
-    x = u.data
-    channels = x.shape[1]
-    n = params.state_dim
+    u_in = np.flip(u.data, axis=0) if reverse else u.data
+    cw, cb = conv_w.data, conv_b.data
+    conv = depthwise_conv_causal(u_in, cw, cb)
+    x = conv * _sigmoid_np(conv)
+    _count_macs(x.size)
+    del conv
     w_delta, b_delta = params.w_delta.data, params.b_delta.data
     w_b, w_c, d_skip = params.w_b.data, params.w_c.data, params.d_skip.data
-    _count_macs(x.size * channels + 2 * x.size * n)
+    _count_macs(x.size * x.shape[1] + 2 * x.size * params.state_dim)
     z = x @ w_delta + b_delta
     b_sel = x @ w_b
     c_sel = x @ w_c
@@ -227,22 +251,24 @@ def _selective_scan(u, params, mode):
     h = recurrence(a_bar, bx)
     del a_bar
     _count_macs(h.size + x.size)
-    out = Tensor(np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip)
+    y = np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip
+    out = Tensor(np.flip(y, axis=0) if reverse else y)
     _check_finite("selective_scan", out.data)
 
     def bwd(g):
+        g = np.flip(g, axis=0) if reverse else g
         a = -np.exp(a_log.T.copy())
         delta = _softplus(z)
         e = np.multiply(delta[:, None, :], a)
         np.exp(e, out=e)
         lam = _adjoint_sweep(e, g[:, None, :] * c_sel[:, :, None])
-        # e becomes p = lam * (e - 1)/a, the gradient of bx / (B * u)
+        # e becomes p = lam * (e - 1)/a, the gradient of bx / (B * x)
         e -= 1.0
         e /= a
         e *= lam
         db = np.matmul(e, x[:, :, None])[:, :, 0]
-        du = g * d_skip + np.matmul(b_sel[:, None, :], e)[:, 0, :]
-        # w = B * u / a becomes lam * (h + w), the gradient of delta * a
+        dx = g * d_skip + np.matmul(b_sel[:, None, :], e)[:, 0, :]
+        # w = B * x / a becomes lam * (h + w), the gradient of delta * a
         w = b_sel[:, :, None] * x[:, None, :]
         w /= a
         da = -np.einsum("lnc,lnc->nc", e, w)
@@ -253,47 +279,30 @@ def _selective_scan(u, params, mode):
         da += np.einsum("lnc,lc->nc", w, delta)
         dz = np.einsum("lnc,nc->lc", w, a) * _sigmoid_np(z)
         dc = np.matmul(h, g[:, :, None])[:, :, 0]
-        du += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
-        return (du, x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc,
-                (da * a).T, (g * x).sum(axis=0))
+        dx += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
+        # through the SiLU and the conv, both recomputed from u_in
+        conv = depthwise_conv_causal(u_in, cw, cb)
+        sig = _sigmoid_np(conv)
+        gc = dx * (sig * (1.0 + conv * (1.0 - sig)))
+        length = gc.shape[0]
+        du = gc * cw[0]
+        dw = np.zeros_like(cw)
+        dw[0] = (u_in * gc).sum(axis=0)
+        for k in range(1, min(cw.shape[0], length)):
+            du[:length - k] += gc[k:] * cw[k]
+            dw[k] = (u_in[:length - k] * gc[k:]).sum(axis=0)
+        return (np.flip(du, axis=0) if reverse else du, dw, gc.sum(axis=0),
+                x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc, (da * a).T,
+                (g * x).sum(axis=0))
 
-    _record(out, (u, params.w_delta, params.b_delta, params.w_b, params.w_c,
-                  params.a_log, params.d_skip), bwd)
+    _record(out, (u, conv_w, conv_b, params.w_delta, params.b_delta,
+                  params.w_b, params.w_c, params.a_log, params.d_skip), bwd)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Bidirectional block
 # ---------------------------------------------------------------------------
-
-def depthwise_conv_causal(u, weight, bias):
-    """Per-channel causal convolution over time as one tape node.
-
-    weight is (K, C); out_t = sum_k weight_k * u_{t-k} + bias, accumulated
-    in order k = 0..K-1, where a term with t < k is padding and is skipped.
-    """
-    x = u.data
-    w = weight.data
-    length = x.shape[0]
-    acc = x * w[0]
-    for k in range(1, min(w.shape[0], length)):
-        acc[k:] += x[:length - k] * w[k]
-    _count_macs(w.shape[0] * x.size)
-    out = Tensor(acc + bias.data)
-    _check_finite("depthwise_conv_causal", out.data)
-
-    def bwd(g):
-        dx = g * w[0]
-        dw = np.zeros_like(w)
-        dw[0] = (x * g).sum(axis=0)
-        for k in range(1, min(w.shape[0], length)):
-            dx[:length - k] += g[k:] * w[k]
-            dw[k] = (x[:length - k] * g[k:]).sum(axis=0)
-        return dx, dw, g.sum(axis=0)
-
-    _record(out, (u, weight, bias), bwd)
-    return out
-
 
 class BiMamba(Module):
     """Pre-norm residual bidirectional selective-scan block.
@@ -336,10 +345,10 @@ class BiMamba(Module):
         proj = add(matmul(xn, self.w_in), self.b_in)
         u = slicer(proj, (slice(None), slice(0, self.inner)))
         z = slicer(proj, (slice(None), slice(self.inner, 2 * self.inner)))
-        uf = silu(depthwise_conv_causal(u, self.conv_w, self.conv_b))
-        ub = silu(depthwise_conv_causal(flip_time(u), self.conv_w, self.conv_b))
-        y_f = _selective_scan(uf, self.fwd, self.scan_mode)
-        y_b = flip_time(_selective_scan(ub, self.bwd, self.scan_mode))
+        y_f = _selective_scan(u, self.conv_w, self.conv_b, self.fwd,
+                              self.scan_mode, reverse=False)
+        y_b = _selective_scan(u, self.conv_w, self.conv_b, self.bwd,
+                              self.scan_mode, reverse=True)
         gated = mul(add(y_f, y_b), silu(z))
         return add(matmul(gated, self.w_out), self.b_out)
 

@@ -1,13 +1,15 @@
 """Reference implementations the tests compare the package against.
 
 None of this runs outside the tests. The tape primitives (``sub``, ``div``,
-``neg``, ``exp``, ``softplus``, ``sum_``) and ``tape_recurrence``, the linear
-recurrence as a tape node over the package's plain-array sweep and adjoint,
-are the building blocks of the tape-path oracles: ``tape_selective_scan``,
-the primitive composition the fused scan node replaces, and
-``tape_recon_loss`` and ``tape_task_loss``, the compositions the one-node
-loss terms replace. ``copy_on_first_accumulate_grad`` is gradient
-accumulation that copies, which the hand-over accumulation must match. The
+``neg``, ``exp``, ``softplus``, ``sum_``, ``flip_time``) and
+``tape_recurrence``, the linear recurrence as a tape node over the
+package's plain-array sweep and adjoint, are the building blocks of the
+tape-path oracles: ``tape_scan_direction``, the primitive composition
+(time flip, ``tape_conv_causal``, SiLU, ``tape_selective_scan``, time flip)
+the fused scan-direction node replaces, and ``tape_recon_loss`` and
+``tape_task_loss``, the compositions the one-node loss terms replace.
+``copy_on_first_accumulate_grad`` is gradient accumulation that copies,
+which the hand-over accumulation must match. The
 time-invariant oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
 time, so it checks the sweeps and zero-order hold the model runs, and a
 test that patches them sees every call.
@@ -22,7 +24,7 @@ import numpy as np
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     Tensor, _check_finite, _count_macs, _record, _sigmoid_np, _unbroadcast,
-    add, concat, matmul, mul, reshape, slicer, transpose,
+    add, concat, matmul, mul, reshape, silu, slicer, transpose,
 )
 
 
@@ -83,6 +85,16 @@ def softplus(a):
 
     def bwd(g):
         return (g * _sigmoid_np(a.data),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def flip_time(a):
+    out = Tensor(np.flip(a.data, axis=0).copy())
+
+    def bwd(g):
+        return (np.flip(g, axis=0),)
 
     _record(out, (a,), bwd)
     return out
@@ -201,6 +213,15 @@ def tape_conv_causal(u, weight, bias):
         term = mul(shifted, wk)
         acc = term if acc is None else add(acc, term)
     return add(acc, bias)
+
+
+def tape_scan_direction(u, conv_w, conv_b, params, mode, reverse):
+    """One BiMamba scan direction as tape nodes: the causal conv, SiLU and
+    selective scan over u, flipped in time before and after when reverse
+    is set."""
+    flip = flip_time if reverse else (lambda t: t)
+    x = silu(tape_conv_causal(flip(u), conv_w, conv_b))
+    return flip(tape_selective_scan(x, params, mode))
 
 
 def copy_on_first_accumulate_grad(self, g):

@@ -388,12 +388,16 @@ def test_acceptance_09_complexity_argument():
     instr_ok = True
     for length, channels, state_dim in ((7, 4, 3), (16, 8, 5)):
         params = SSMParams(channels, state_dim, rng, name="p")
+        conv_w = Tensor(rng.standard_normal((4, channels)))
+        conv_b = Tensor(np.zeros(channels))
         u = Tensor(rng.standard_normal((length, channels)))
         for mode in ("recurrent", "parallel"):
-            with MacCounter() as counter:
-                _selective_scan(u, params, mode)
-            instr_ok &= counter.macs == macs_selective_scan(
-                length, channels, state_dim, mode)
+            for reverse in (False, True):
+                with MacCounter() as counter:
+                    _selective_scan(u, conv_w, conv_b, params, mode, reverse)
+                # the direction's width-4 conv and SiLU, then the scan
+                instr_ok &= counter.macs == 5 * length * channels \
+                    + macs_selective_scan(length, channels, state_dim, mode)
     _report(9, "scan cost doubles with L (ratio in [1.9, 2.1]), "
                "cross-attention quadruples ([3.8, 4.2]), attention variant "
                "costs more at L=512, formulas match instrumented counts "

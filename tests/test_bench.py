@@ -25,14 +25,20 @@ from oracles import (
                                    (33, 6, 4)])
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 def test_selective_scan_macs_match_instrumented_count(shape, mode):
+    # a direction's node runs the causal conv (K multiplies per element)
+    # and the SiLU (one) before the selective scan
     length, channels, state_dim = shape
     rng = np.random.default_rng(0)
     params = SSMParams(channels, state_dim, rng, name="p")
+    conv_w = Tensor(rng.standard_normal((4, channels)))
+    conv_b = Tensor(np.zeros(channels))
     u = Tensor(rng.standard_normal((length, channels)))
-    with MacCounter() as counter:
-        _selective_scan(u, params, mode)
-    assert counter.macs == macs_selective_scan(length, channels, state_dim,
-                                               mode)
+    for reverse in (False, True):
+        with MacCounter() as counter:
+            _selective_scan(u, conv_w, conv_b, params, mode, reverse)
+        assert counter.macs == (
+            5 * length * channels
+            + macs_selective_scan(length, channels, state_dim, mode))
 
 
 @pytest.mark.parametrize("cfg", [(8, 6, 2, 4), (5, 4, 1, 3), (12, 8, 2, 16)])

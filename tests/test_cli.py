@@ -231,7 +231,13 @@ def test_numeric_failure_is_exit_2_in_one_line(tmp_path, capsys):
     # the decay term overflows inside the optimizer step itself
     (["train.lr=1e300", "train.weight_decay=1e10"],
      "training aborted at step 0: optimizer step made align_t.w non-finite"),
-], ids=["validation", "optimizer"])
+    # the model's own step size and state matrix leave the ZOH domain: a
+    # softplus underflows to 0, and -exp(a_log) rounds to -0.0
+    (["train.lr=1"], "training aborted at validation after step 1: "
+                     "discretize: step size must be strictly positive"),
+    (["train.lr=1000"], "training aborted at validation after step 0: "
+                        "discretize: state matrix must be strictly negative"),
+], ids=["validation", "optimizer", "zoh-step-size", "zoh-state-matrix"])
 def test_numeric_failure_in_training_names_the_step(tmp_path, capsys,
                                                      settings, message):
     argv = ["train", "--n", "8", "--epochs", "2", "--out", str(tmp_path / "o")]

@@ -8,7 +8,7 @@ import pytest
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
     MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
-    flip_time, mul, no_grad,
+    mul, no_grad, silu,
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
@@ -17,8 +17,8 @@ from mamba_fusion.ssm import (
     linear_recurrence_sequential,
 )
 from oracles import (
-    LTIParams, discretize, lti_scan, reverse_sweep_adjoint,
-    step_by_step_sweep, sum_, tape_conv_causal, tape_selective_scan,
+    LTIParams, discretize, flip_time, lti_scan, reverse_sweep_adjoint,
+    step_by_step_sweep, sum_, tape_conv_causal, tape_scan_direction,
     whole_array_sweep,
 )
 
@@ -71,9 +71,10 @@ def test_discretize_matches_high_precision_scalar_oracle():
 
 
 def test_discretize_rejects_bad_domains():
-    with pytest.raises(ValueError, match="negative"):
+    # the model computes both, so a bad value is a numeric failure
+    with pytest.raises(FloatingPointError, match="negative"):
         discretize(np.array(1.0), np.array(1.0), np.array(0.5))
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(FloatingPointError, match="positive"):
         discretize(np.array(-1.0), np.array(1.0), np.array(0.0))
 
 
@@ -176,9 +177,9 @@ def test_oracle_discretization_runs_the_models_zoh(monkeypatch):
 
 
 def test_lti_params_reject_bad_domains():
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(FloatingPointError, match="negative"):
         LTIParams(a=[[0.5]], b=[1.0], c=[1.0], delta=[0.1], d_skip=[0.0])
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(FloatingPointError, match="positive"):
         LTIParams(a=[[-0.5]], b=[1.0], c=[1.0], delta=[0.0], d_skip=[0.0])
 
 
@@ -212,12 +213,13 @@ def test_only_the_scan_node_records_on_the_tape(rec, mode):
     rng = np.random.default_rng(6)
     a = rng.uniform(0.2, 1.0, size=(9, 3, 2))
     b = rng.standard_normal((9, 3, 2))
-    params, u = _random_selective(6)
-    with Tape() as tape:
-        h = rec(a, b)
-        assert type(h) is np.ndarray and tape.records == []
-        _selective_scan(u, params, mode)
-    assert len(tape.records) == 1
+    weights, u = _random_selective(6)
+    for reverse in (False, True):
+        with Tape() as tape:
+            h = rec(a, b)
+            assert type(h) is np.ndarray and tape.records == []
+            _selective_scan(u, *weights, mode, reverse)
+        assert len(tape.records) == 1
 
 
 @pytest.mark.parametrize("rec,oracle", [
@@ -330,50 +332,72 @@ def test_stability_bound_on_random_instances():
 # Selective scan (input-dependent selection)
 # ---------------------------------------------------------------------------
 
-def _random_selective(seed, length=10, channels=6, state_dim=5):
+def _random_selective(seed, length=10, channels=6, state_dim=5, width=4):
+    """A direction's conv weight, conv bias and SSM parameters, and an
+    input u."""
     rng = np.random.default_rng(seed)
     params = SSMParams(channels, state_dim, rng, name="ssm")
+    s = 1.0 / np.sqrt(width)
+    conv_w = Parameter(rng.uniform(-s, s, (width, channels)), name="conv_w")
+    conv_b = Parameter(rng.uniform(-s, s, channels), name="conv_b")
     u = Tensor(rng.standard_normal((length, channels)))
-    return params, u
+    return (conv_w, conv_b, params), u
+
+
+def _inputs(u, weights):
+    conv_w, conv_b, params = weights
+    return [u, conv_w, conv_b] + params.parameters()
+
+
+# each scan test runs both directions in a loop, over u and over u flipped
+# in time
+REVERSE = (False, True)
 
 
 def test_selective_scan_parallel_matches_recurrent():
     for seed in range(5):
-        params, u = _random_selective(seed)
-        y_r = _selective_scan(u, params, "recurrent")
-        y_p = _selective_scan(u, params, "parallel")
-        np.testing.assert_allclose(y_p.data, y_r.data, rtol=1e-9, atol=1e-12)
+        weights, u = _random_selective(seed)
+        for reverse in REVERSE:
+            y_r = _selective_scan(u, *weights, "recurrent", reverse)
+            y_p = _selective_scan(u, *weights, "parallel", reverse)
+            np.testing.assert_allclose(y_p.data, y_r.data, rtol=1e-9,
+                                       atol=1e-12)
 
 
 def test_selective_scan_length_one():
-    params, _ = _random_selective(7, length=1)
+    weights, _ = _random_selective(7, length=1)
     u = Tensor(np.random.default_rng(2).standard_normal((1, 6)))
-    np.testing.assert_array_equal(
-        _selective_scan(u, params, "recurrent").data,
-        _selective_scan(u, params, "parallel").data)
+    for reverse in REVERSE:
+        np.testing.assert_array_equal(
+            _selective_scan(u, *weights, "recurrent", reverse).data,
+            _selective_scan(u, *weights, "parallel", reverse).data)
 
 
 def test_selective_scan_gradients_recurrent_vs_parallel():
-    params, u = _random_selective(17)
-    grads = {}
-    for mode in ("recurrent", "parallel"):
-        for p in params.parameters():
-            p.zero_grad()
-        with Tape():
-            backward(sum_(_selective_scan(u, params, mode)))
-        grads[mode] = [p.grad.copy() for p in params.parameters()]
-    for g_r, g_p in zip(grads["recurrent"], grads["parallel"]):
-        np.testing.assert_allclose(g_p, g_r, rtol=1e-6, atol=1e-10)
+    weights, u = _random_selective(17)
+    conv_w, conv_b, params = weights
+    inputs = [conv_w, conv_b] + params.parameters()
+    for reverse in REVERSE:
+        grads = {}
+        for mode in ("recurrent", "parallel"):
+            for p in inputs:
+                p.zero_grad()
+            with Tape():
+                backward(sum_(_selective_scan(u, *weights, mode, reverse)))
+            grads[mode] = [p.grad.copy() for p in inputs]
+        for g_r, g_p in zip(grads["recurrent"], grads["parallel"]):
+            np.testing.assert_allclose(g_p, g_r, rtol=1e-6, atol=1e-10)
 
 
 def _scan_inputs(seed, length, channels, state_dim):
-    params, _ = _random_selective(seed, length, channels, state_dim)
+    weights, _ = _random_selective(seed, length, channels, state_dim)
+    params = weights[2]
     rng = np.random.default_rng(seed + 100)
     params.d_skip.data = rng.standard_normal(channels)
     params.a_log.data = params.a_log.data + rng.uniform(-0.5, 0.5,
                                                         (channels, state_dim))
     u = Parameter(rng.standard_normal((length, channels)), name="u")
-    return params, u, rng.standard_normal((length, channels))
+    return weights, u, rng.standard_normal((length, channels))
 
 
 # the last three are the desk, sims and mosi scan shapes
@@ -384,29 +408,33 @@ SCAN_SHAPES = [(10, 6, 5), (1, 3, 2), (17, 4, 3), (33, 8, 4), (16, 32, 8),
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 @pytest.mark.parametrize("shape", SCAN_SHAPES)
 def test_fused_scan_forward_is_bitwise_the_tape_path(mode, shape):
-    params, u, _ = _scan_inputs(3, *shape)
-    np.testing.assert_array_equal(_selective_scan(u, params, mode).data,
-                                  tape_selective_scan(u, params, mode).data)
+    weights, u, _ = _scan_inputs(3, *shape)
+    for reverse in REVERSE:
+        np.testing.assert_array_equal(
+            _selective_scan(u, *weights, mode, reverse).data,
+            tape_scan_direction(u, *weights, mode, reverse).data)
 
 
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 @pytest.mark.parametrize("shape", SCAN_SHAPES)
 def test_fused_scan_gradients_match_the_tape_path(mode, shape):
-    params, u, weight = _scan_inputs(5, *shape)
-    inputs = [u] + params.parameters()
-    fused = _grads_of(lambda: _selective_scan(u, params, mode), inputs,
-                      weight)
-    tape = _grads_of(lambda: tape_selective_scan(u, params, mode), inputs,
-                     weight)
-    for t, g_f, g_t in zip(inputs, fused, tape):
-        np.testing.assert_allclose(g_f, g_t, rtol=1e-9, err_msg=t.name)
+    weights, u, weight = _scan_inputs(5, *shape)
+    inputs = _inputs(u, weights)
+    for reverse in REVERSE:
+        fused = _grads_of(lambda: _selective_scan(u, *weights, mode, reverse),
+                          inputs, weight)
+        tape = _grads_of(
+            lambda: tape_scan_direction(u, *weights, mode, reverse), inputs,
+            weight)
+        for t, g_f, g_t in zip(inputs, fused, tape):
+            np.testing.assert_allclose(g_f, g_t, rtol=1e-9,
+                                       err_msg=f"{t.name} reverse={reverse}")
 
 
-def _logaddexp_sum_forward(u, params, mode):
-    """The scan forward with softplus as np.logaddexp and the readout as a
-    broadcast multiply summed over the state axis, and the summed magnitude
-    of each output's terms."""
-    x = u.data
+def _logaddexp_sum_forward(x, params, mode):
+    """The scan forward over the SiLU output x with softplus as
+    np.logaddexp and the readout as a broadcast multiply summed over the
+    state axis, and the summed magnitude of each output's terms."""
     z = x @ params.w_delta.data + params.b_delta.data
     b_sel = x @ params.w_b.data
     c_sel = x @ params.w_c.data
@@ -432,10 +460,15 @@ def test_fused_scan_forward_is_close_to_the_logaddexp_sum_forward(mode,
     # order of a sum and of one transcendental, so each output moves by a
     # few ulps of the terms it sums; an output that cancels to near zero
     # can move by more than 1e-12 of itself
-    params, u, _ = _scan_inputs(13, *shape)
-    old, scale = _logaddexp_sum_forward(u, params, mode)
-    err = np.abs(_selective_scan(u, params, mode).data - old)
-    assert np.all(err <= 1e-12 * scale), np.max(err / scale)
+    weights, u, _ = _scan_inputs(13, *shape)
+    conv_w, conv_b, params = weights
+    for reverse in REVERSE:
+        u_in = u.data[::-1] if reverse else u.data
+        x = silu(tape_conv_causal(Tensor(u_in), conv_w, conv_b)).data
+        old, scale = _logaddexp_sum_forward(x, params, mode)
+        y = _selective_scan(u, *weights, mode, reverse).data
+        err = np.abs((y[::-1] if reverse else y) - old)
+        assert np.all(err <= 1e-12 * scale), np.max(err / scale)
 
 
 def test_softplus_is_close_to_logaddexp():
@@ -451,24 +484,26 @@ def test_softplus_is_close_to_logaddexp():
 
 
 def test_fused_scan_counts_the_tape_paths_multiplies():
-    params, u, _ = _scan_inputs(9, 12, 5, 3)
+    weights, u, _ = _scan_inputs(9, 12, 5, 3)
     for mode in ("recurrent", "parallel"):
-        counts = []
-        for fn in (_selective_scan, tape_selective_scan):
-            with MacCounter() as counter:
-                fn(u, params, mode)
-            counts.append(counter.macs)
-        assert counts[0] == counts[1]
+        for reverse in REVERSE:
+            counts = []
+            for fn in (_selective_scan, tape_scan_direction):
+                with MacCounter() as counter:
+                    fn(u, *weights, mode, reverse)
+                counts.append(counter.macs)
+            assert counts[0] == counts[1]
 
 
 def test_selective_scan_gradients_match_finite_differences():
-    params, u, weight = _scan_inputs(23, 6, 3, 4)
+    weights, u, weight = _scan_inputs(23, 6, 3, 4)
     for mode in ("recurrent", "parallel"):
-        err = finite_difference_check(
-            lambda: sum_(mul(_selective_scan(u, params, mode),
-                             Tensor(weight))),
-            [u] + params.parameters())
-        assert err < 1e-4, f"{mode}: {err}"
+        for reverse in REVERSE:
+            err = finite_difference_check(
+                lambda: sum_(mul(_selective_scan(u, *weights, mode, reverse),
+                                 Tensor(weight))),
+                _inputs(u, weights))
+            assert err < 1e-4, f"{mode} reverse={reverse}: {err}"
 
 
 PEAK_SHAPE = (50, 256, 12)
@@ -488,35 +523,37 @@ def _peak_full_arrays(fn):
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 def test_scan_backward_peak_memory(mode):
     # the recomputed exp(delta * a) (turned into lam * (exp - 1)/a in
-    # place), the adjoint buffer lam and B * u / a (turned into
-    # lam * (h + B * u / a) in place) are the three (L, N, C) arrays one
-    # backward needs, and numpy's broadcast buffers and the (L, C) arrays
-    # bring the peak to about 3.3; a fourth, such as a d(a_bar) array or
-    # the product of a broadcast sum over l, pushes it past 3.5
-    params, u, weight = _scan_inputs(8, *PEAK_SHAPE)
-    with Tape() as tape:
-        _selective_scan(u, params, mode)
-    (_, _, bwd), = tape.records
-    peak = _peak_full_arrays(lambda: bwd(weight))
-    assert peak < 3.5, f"peak {peak:.2f} full-size arrays"
+    # place), the adjoint buffer lam and B * x / a (turned into
+    # lam * (h + B * x / a) in place) are the three (L, N, C) arrays one
+    # backward needs, and numpy's broadcast buffers and the (L, C) arrays,
+    # the recomputed conv and sigmoid among them, bring the peak to about
+    # 3.3; a fourth, such as a d(a_bar) array or the product of a broadcast
+    # sum over l, pushes it past 3.5
+    weights, u, weight = _scan_inputs(8, *PEAK_SHAPE)
+    for reverse in REVERSE:
+        with Tape() as tape:
+            _selective_scan(u, *weights, mode, reverse)
+        (_, _, bwd), = tape.records
+        peak = _peak_full_arrays(lambda: bwd(weight))
+        assert peak < 3.5, f"reverse={reverse}: peak {peak:.2f} full arrays"
 
 
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])
 def test_scan_forward_peak_memory(monkeypatch, mode):
-    # exp(delta * a) and B_bar * u, which the sweep overwrites with the
+    # exp(delta * a) and B_bar * x, which the sweep overwrites with the
     # states h, are the two (L, N, C) arrays a forward needs, and the
-    # peak is about 2.2; each of the parallel sweep's four slab buffers is
+    # peak is about 2.3; each of the parallel sweep's four slab buffers is
     # at most SWEEP_BLOCK_BYTES, made small here; a separate h takes the
     # peak to about 3.2
     monkeypatch.setattr(ssm, "SWEEP_BLOCK_BYTES", 8 * 1024)
-    params, u, _ = _scan_inputs(8, *PEAK_SHAPE)
+    weights, u, _ = _scan_inputs(8, *PEAK_SHAPE)
+    for reverse in REVERSE:
+        def forward():
+            with no_grad():
+                _selective_scan(u, *weights, mode, reverse)
 
-    def forward():
-        with no_grad():
-            _selective_scan(u, params, mode)
-
-    peak = _peak_full_arrays(forward)
-    assert peak < 2.5, f"peak {peak:.2f} full-size arrays"
+        peak = _peak_full_arrays(forward)
+        assert peak < 2.5, f"reverse={reverse}: peak {peak:.2f} full arrays"
 
 
 @pytest.mark.parametrize("shape", [(21, 7, 5), (1, 3, 2), (64, 4, 3),
@@ -658,39 +695,30 @@ def test_bimamba_op_count_grows_linearly_in_length():
 
 @pytest.mark.parametrize("length,width", [(9, 4), (3, 4), (1, 4), (6, 1)])
 def test_fused_conv_matches_the_tape_path(length, width):
+    # the conv's backward runs inside the scan-direction node, whose
+    # gradients the tape-path and finite-difference tests check
     rng = np.random.default_rng(length * 10 + width)
-    u = Parameter(rng.standard_normal((length, 5)), name="u")
-    weight = Parameter(rng.standard_normal((width, 5)), name="w")
-    bias = Parameter(rng.standard_normal(5), name="b")
-    np.testing.assert_array_equal(
-        depthwise_conv_causal(u, weight, bias).data,
-        tape_conv_causal(u, weight, bias).data)
-    g = rng.standard_normal((length, 5))
-    inputs = [u, weight, bias]
-    fused = _grads_of(lambda: depthwise_conv_causal(u, weight, bias),
-                      inputs, g)
-    tape = _grads_of(lambda: tape_conv_causal(u, weight, bias), inputs, g)
-    for t, g_f, g_t in zip(inputs, fused, tape):
-        np.testing.assert_allclose(g_f, g_t, rtol=1e-9, err_msg=t.name)
-    for fn in (depthwise_conv_causal, tape_conv_causal):
-        with MacCounter() as counter:
-            fn(u, weight, bias)
-        assert counter.macs == width * length * 5
-    err = finite_difference_check(
-        lambda: sum_(mul(depthwise_conv_causal(u, weight, bias), Tensor(g))),
-        inputs)
-    assert err < 1e-4
+    u = Tensor(rng.standard_normal((length, 5)))
+    weight = Tensor(rng.standard_normal((width, 5)))
+    bias = Tensor(rng.standard_normal(5))
+    with MacCounter() as fused:
+        out = depthwise_conv_causal(u.data, weight.data, bias.data)
+    with MacCounter() as tape:
+        np.testing.assert_array_equal(
+            out, tape_conv_causal(u, weight, bias).data)
+    assert fused.macs == tape.macs == width * length * 5
 
 
-def test_desk_bimamba_records_19_tape_nodes():
-    # layer norm; input projection (matmul, bias, two slices); two time
-    # flips; per direction one conv, one silu and one scan node; the gate
-    # (sum, silu, product); output projection (matmul, bias); residual add
+def test_desk_bimamba_records_13_tape_nodes():
+    # layer norm; input projection (matmul, bias, two slices); one scan
+    # node per direction, each running its conv, silu and time flips; the
+    # gate (sum, silu, product); output projection (matmul, bias); residual
+    # add
     block = build_model("desk", seed=0).latent.blocks[0]
     x = Tensor(np.random.default_rng(0).standard_normal((16, 32)))
     with Tape() as tape:
         block(x)
-    assert len(tape.records) == 19
+    assert len(tape.records) == 13
 
 
 def test_flip_time_matches_numpy_flip():
