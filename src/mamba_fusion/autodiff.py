@@ -33,9 +33,9 @@ __all__ = [
     "backward",
     "finite_difference_check",
     "Module",
-    "add", "mul", "matmul", "silu", "relu", "softmax_lastdim",
+    "add", "mul", "matmul", "relu", "softmax_lastdim",
     "l2_normalize_lastdim", "layer_norm", "concat",
-    "max_over_time", "slicer", "reshape", "transpose",
+    "max_over_time", "reshape", "transpose",
 ]
 
 # Multiply counter for instrumented FLOPs validation (see bench module).
@@ -107,6 +107,10 @@ class no_grad:
         global _active_tape
         _active_tape = self._prev
         return False
+
+
+def _recording():
+    return _active_tape is not None
 
 
 def _record(out, inputs, backward_fn):
@@ -198,7 +202,7 @@ class Module:
 
 def _check_finite(op_kind, *arrays):
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise FloatingPointError(f"{op_kind}: non-finite values encountered")
 
 
@@ -261,19 +265,22 @@ def matmul(a, b):
 
 
 def _sigmoid_np(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """0.5 * (1 + tanh(x / 2)), formed in place over the tanh."""
+    s = np.tanh(0.5 * x)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
-def silu(a):
-    s = _sigmoid_np(a.data)
-    out = Tensor(a.data * s)
-    _count_macs(out.size)
+def _silu_np(a):
+    """SiLU of an array, and the sigmoid its derivative needs."""
+    s = _sigmoid_np(a)
+    return a * s, s
 
-    def bwd(g):
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
 
-    _record(out, (a,), bwd)
-    return out
+def _silu_grad_np(g, a, s):
+    """g through the SiLU of a, whose sigmoid is s."""
+    return g * (s * (1.0 + a * (1.0 - s)))
 
 
 def relu(a):
@@ -321,24 +328,39 @@ def l2_normalize_lastdim(a, eps=1e-12):
     return out
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def _layer_norm_np(x, gamma, beta, eps=1e-5):
+    """Layer norm over the last axis of an array, and the normalized x and
+    inverse deviation its gradient needs."""
+    # numpy's mean and var in their float operations, without their
+    # Python-level wrappers, and the centred x computed once
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = np.square(xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_grad_np(g, gamma, xhat, inv):
+    """g through the layer norm: the gradients of x, gamma and beta."""
+    d = xhat.shape[-1]
+    dxhat = g * gamma
+    dx = inv / d * (d * dxhat
+                    - dxhat.sum(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+    red = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=red)
+    dbeta = g.sum(axis=red)
+    return dx, dgamma.reshape(gamma.shape), dbeta.reshape(gamma.shape)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    y, xhat, inv = _layer_norm_np(x.data, gamma.data, beta.data, eps)
+    out = Tensor(y)
     _count_macs(2 * out.size)
 
     def bwd(g):
-        d = x.shape[-1]
-        dxhat = g * gamma.data
-        dx = inv / d * (d * dxhat
-                        - dxhat.sum(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-        red = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=red)
-        dbeta = g.sum(axis=red)
-        return dx, dgamma.reshape(gamma.shape), dbeta.reshape(beta.shape)
+        return _layer_norm_grad_np(g, gamma.data, xhat, inv)
 
     _record(out, (x, gamma, beta), bwd)
     return out
@@ -366,18 +388,6 @@ def max_over_time(a):
         ga = np.zeros_like(a.data)
         rest = np.indices(idx.shape)
         ga[(idx,) + tuple(rest)] = g
-        return (ga,)
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def slicer(a, key):
-    out = Tensor(a.data[key].copy())
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
         return (ga,)
 
     _record(out, (a,), bwd)

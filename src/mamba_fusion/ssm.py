@@ -2,16 +2,17 @@
 
 Zero-order-hold discretization (``_zoh``), the linear recurrence in two
 evaluation orders (``linear_recurrence_*``, which check, count and sweep
-plain arrays, writing the states over their input), the causal conv over
-plain arrays, one scan direction (conv, SiLU and selective scan) as one
-fused tape node, and the bidirectional block every fusion stage is built
-from. The node saves the SiLU output, the step-size logits, B, C and the
-states; its backward recomputes the conv, its sigmoid and exp(delta*A) and
-runs the recurrence's adjoint, one in-place backward-in-time sweep
-(``_adjoint_sweep``) for both orders. The default order, "recurrent",
-sweeps step by step in L - 1 multiplies per column; the "parallel"
-doubling-stride prefix scan makes 2 L ceil(log2 L). The forward holds two
-full (L, N, C) arrays, A_bar and the B_bar*x buffer the sweep runs over.
+plain arrays, one scan direction (conv, SiLU and selective scan) over
+plain arrays with its hand-written backward (``_scan_direction``), and the
+bidirectional block every fusion stage is built from, one tape node per
+call. A direction saves the SiLU output, the step-size logits, B, C and
+the states; its backward recomputes the conv, its sigmoid and
+exp(delta*A) and runs the recurrence's adjoint, one in-place
+backward-in-time sweep (``_adjoint_sweep``) for both orders. The default
+order, "recurrent", sweeps step by step in L - 1 multiplies per column;
+the "parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). The
+forward holds two full (L, N, C) arrays, A_bar and the B_bar*x buffer the
+sweep runs over.
 
 The state matrix is diagonal per channel, so discretization has the exact
 closed forms a_bar = exp(delta*a) and b_bar = ((exp(delta*a) - 1)/a) * b.
@@ -22,8 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Module, Parameter, Tensor, _check_finite, _count_macs, _record,
-    _sigmoid_np, add, layer_norm, matmul, mul, silu, slicer,
+    Module, Parameter, Tensor, _check_finite, _count_macs,
+    _layer_norm_grad_np, _layer_norm_np, _record, _recording, _sigmoid_np,
+    _silu_grad_np, _silu_np,
 )
 
 
@@ -44,10 +46,10 @@ def _zoh(a, delta):
     positive, or a numeric failure is raised. The selective scan passes a
     as (N, C) and delta as (L, 1, C), so both come out state-major.
     """
-    if np.any(a >= 0):
+    if (a >= 0).any():
         raise FloatingPointError(
             "discretize: state matrix must be strictly negative")
-    if np.any(delta <= 0):
+    if (delta <= 0).any():
         raise FloatingPointError(
             "discretize: step size must be strictly positive")
     # asarray turns the product of two scalars into a writable 0-d array
@@ -91,12 +93,15 @@ def linear_recurrence_sequential(a_bar, bx):
     _check_in_place(a_bar, bx)
     _count_macs((a_bar.shape[0] - 1) * a_bar[0].size)
     row = np.empty_like(bx[0])
-    for t in range(1, a_bar.shape[0]):
-        np.multiply(a_bar[t], bx[t - 1], out=row)
-        np.add(row, bx[t], out=bx[t])
+    prev = bx[0]
+    # zip walks row views, which costs less than indexing a 3-D array
+    for a_t, h_t in zip(a_bar[1:], bx[1:]):
+        np.multiply(a_t, prev, out=row)
+        np.add(row, h_t, out=h_t)
+        prev = h_t
     # a non-finite state stays non-finite through every later step (0 * inf
     # is nan), so the last row catches every failure
-    if not np.all(np.isfinite(bx[-1])):
+    if not np.isfinite(bx[-1]).all():
         finite = np.isfinite(bx).reshape(len(bx), -1).all(axis=1)
         raise FloatingPointError(
             f"recurrence diverged at timestep {int(np.argmin(finite))}")
@@ -141,11 +146,12 @@ def _adjoint_sweep(a, lam):
     # scan mode; db = lam
     length = a.shape[0]
     row = np.empty_like(lam[0])
-    for t in range(length - 2, -1, -1):
-        np.multiply(a[t + 1], lam[t + 1], out=row)
-        lam[t] += row
+    # t runs from L - 2 down to 0 over row views, as in the forward sweep
+    for a_next, lam_next, lam_t in zip(a[:0:-1], lam[:0:-1], lam[-2::-1]):
+        np.multiply(a_next, lam_next, out=row)
+        lam_t += row
     # as in the forward sweep, the first row catches every failure
-    if not np.all(np.isfinite(lam[0])):
+    if not np.isfinite(lam[0]).all():
         finite = np.isfinite(lam).reshape(length, -1).all(axis=1)
         # the sweep runs backward, so the latest bad timestep failed first
         raise FloatingPointError(
@@ -185,13 +191,19 @@ class SSMParams(Module):
                              name=f"{name}.w_c")
         self.d_skip = Parameter(np.ones(channels), name=f"{name}.d_skip")
 
+    def in_grad_order(self):
+        """The parameters in the order ``_scan_direction``'s backward
+        returns their gradients."""
+        return (self.w_delta, self.b_delta, self.w_b, self.w_c, self.a_log,
+                self.d_skip)
+
 
 def _softplus(z):
     """log(1 + e^z) in plain ufunc passes, finite for any finite z."""
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def depthwise_conv_causal(x, w, bias):
+def _conv_causal_np(x, w, bias):
     """Per-channel causal convolution over time of an (L, C) array.
 
     w is (K, C); out_t = sum_k w_k * x_{t-k} + bias, accumulated in order
@@ -201,41 +213,48 @@ def depthwise_conv_causal(x, w, bias):
     acc = x * w[0]
     for k in range(1, min(w.shape[0], length)):
         acc[k:] += x[:length - k] * w[k]
-    _count_macs(w.shape[0] * x.size)
     acc += bias
+    return acc
+
+
+def depthwise_conv_causal(x, w, bias):
+    """The causal conv of a scan direction's forward: ``_conv_causal_np``,
+    its K*L*C multiplies counted and its output checked finite."""
+    acc = _conv_causal_np(x, w, bias)
+    _count_macs(w.shape[0] * x.size)
     _check_finite("depthwise_conv_causal", acc)
     return acc
 
 
-def _selective_scan(u, conv_w, conv_b, params, mode, reverse):
-    """One scan direction of a BiMamba over u (L, C) as a single tape node.
+def _scan_direction(u, cw, cb, params, mode, reverse):
+    """One scan direction of a BiMamba over the (L, C) array u, in numpy.
+
+    Returns the output y, in forward time, and its backward function, which
+    maps the gradient of y to those of u, cw, cb and params' w_delta,
+    b_delta, w_b, w_c, a_log and d_skip, in that order.
 
     The causal conv, SiLU and selective scan run over u, or over u flipped
-    in time when reverse is set; the output is in forward time. The scan
-    is the primitive composition softplus -> ZOH -> B_bar*x -> recurrence
-    -> C readout + D skip over the SiLU output x. Every full-size array is
-    state-major, (L, N, C), so each broadcast runs along a contiguous row
-    of C channels; A is a_log's (C, N) transposed at call time. The
-    readout y_t = C_t h_t is one stacked vector-matrix product over the
-    state axis, as in Mamba's reference scan (Gu & Dao 2023). Backward
-    keeps x, the step-size logits, B, C and the states h, and recomputes
-    exp(delta*A), the conv output and its sigmoid (the recomputation of
-    Mamba, section 3.3). The sweep writes h over the B_bar*x buffer, so
-    the forward holds two full arrays, A_bar and that one, with or without
-    a tape. Since h_t = A_bar_t h_{t-1} + B_bar_t x_t and
-    B_bar = (A_bar - 1)/A * B, the gradient with respect to delta*A is
+    in time when reverse is set. The scan is the primitive composition
+    softplus -> ZOH -> B_bar*x -> recurrence -> C readout + D skip over the
+    SiLU output x. Every full-size array is state-major, (L, N, C), so each
+    broadcast runs along a contiguous row of C channels; A is a_log's
+    (C, N) transposed at call time. The readout y_t = C_t h_t is one
+    stacked vector-matrix product over the state axis, as in Mamba's
+    reference scan (Gu & Dao 2023). The backward keeps x, the step-size
+    logits, B, C and the states h, and recomputes exp(delta*A), the conv
+    output and its sigmoid (the recomputation of Mamba, section 3.3). The
+    sweep writes h over the B_bar*x buffer, so the forward holds two full
+    arrays, A_bar and that one. Since h_t = A_bar_t h_{t-1} + B_bar_t x_t
+    and B_bar = (A_bar - 1)/A * B, the gradient with respect to delta*A is
     lam * (h + B*x/A), with lam the adjoint state.
     """
     # the public conv and recurrences are looked up at call time, so a
-    # wrapper put on the module attribute sees every call
+    # wrapper put on the module attribute sees every forward call
     recurrence = linear_recurrence_sequential if mode == "recurrent" \
         else linear_recurrence_parallel
-    u_in = np.flip(u.data, axis=0) if reverse else u.data
-    cw, cb = conv_w.data, conv_b.data
-    conv = depthwise_conv_causal(u_in, cw, cb)
-    x = conv * _sigmoid_np(conv)
+    u_in = u[::-1] if reverse else u
+    x = _silu_np(depthwise_conv_causal(u_in, cw, cb))[0]
     _count_macs(x.size)
-    del conv
     w_delta, b_delta = params.w_delta.data, params.b_delta.data
     w_b, w_c, d_skip = params.w_b.data, params.w_c.data, params.d_skip.data
     _count_macs(x.size * x.shape[1] + 2 * x.size * params.state_dim)
@@ -252,11 +271,9 @@ def _selective_scan(u, conv_w, conv_b, params, mode, reverse):
     del a_bar
     _count_macs(h.size + x.size)
     y = np.matmul(c_sel[:, None, :], h)[:, 0, :] + x * d_skip
-    out = Tensor(np.flip(y, axis=0) if reverse else y)
-    _check_finite("selective_scan", out.data)
 
-    def bwd(g):
-        g = np.flip(g, axis=0) if reverse else g
+    def backward(g):
+        g = g[::-1] if reverse else g
         a = -np.exp(a_log.T.copy())
         delta = _softplus(z)
         e = np.multiply(delta[:, None, :], a)
@@ -281,9 +298,8 @@ def _selective_scan(u, conv_w, conv_b, params, mode, reverse):
         dc = np.matmul(h, g[:, :, None])[:, :, 0]
         dx += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
         # through the SiLU and the conv, both recomputed from u_in
-        conv = depthwise_conv_causal(u_in, cw, cb)
-        sig = _sigmoid_np(conv)
-        gc = dx * (sig * (1.0 + conv * (1.0 - sig)))
+        conv = _conv_causal_np(u_in, cw, cb)
+        gc = _silu_grad_np(dx, conv, _sigmoid_np(conv))
         length = gc.shape[0]
         du = gc * cw[0]
         dw = np.zeros_like(cw)
@@ -291,13 +307,11 @@ def _selective_scan(u, conv_w, conv_b, params, mode, reverse):
         for k in range(1, min(cw.shape[0], length)):
             du[:length - k] += gc[k:] * cw[k]
             dw[k] = (u_in[:length - k] * gc[k:]).sum(axis=0)
-        return (np.flip(du, axis=0) if reverse else du, dw, gc.sum(axis=0),
+        return (du[::-1] if reverse else du, dw, gc.sum(axis=0),
                 x.T @ dz, dz.sum(axis=0), x.T @ db, x.T @ dc, (da * a).T,
                 (g * x).sum(axis=0))
 
-    _record(out, (u, conv_w, conv_b, params.w_delta, params.b_delta,
-                  params.w_b, params.w_c, params.a_log, params.d_skip), bwd)
-    return out
+    return (y[::-1] if reverse else y), backward
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +353,77 @@ class BiMamba(Module):
                                name=f"{name}.w_out")
         self.b_out = Parameter(np.zeros(d_model), name=f"{name}.b_out")
 
-    def branch(self, x):
-        """Pre-residual branch output (gated bidirectional scan)."""
-        xn = layer_norm(x, self.norm_gamma, self.norm_beta)
-        proj = add(matmul(xn, self.w_in), self.b_in)
-        u = slicer(proj, (slice(None), slice(0, self.inner)))
-        z = slicer(proj, (slice(None), slice(self.inner, 2 * self.inner)))
-        y_f = _selective_scan(u, self.conv_w, self.conv_b, self.fwd,
-                              self.scan_mode, reverse=False)
-        y_b = _selective_scan(u, self.conv_w, self.conv_b, self.bwd,
-                              self.scan_mode, reverse=True)
-        gated = mul(add(y_f, y_b), silu(z))
-        return add(matmul(gated, self.w_out), self.b_out)
-
     def __call__(self, x):
-        if not np.all(np.isfinite(x.data)):
+        """x + W_out (silu(z) * (y_f + y_b)) + b_out as one tape node, where
+        [u, z] = W_in LayerNorm(x) + b_in and y_f, y_b are the scan
+        directions over u. Its float operations, finite checks, MAC counts
+        and gradient accumulation order are those of the same composition
+        recorded as one node per primitive."""
+        if not np.isfinite(x.data).all():
             raise FloatingPointError(f"{self.name}: non-finite input")
-        return add(x, self.branch(x))
+        gamma, w_in = self.norm_gamma.data, self.w_in.data
+        w_out = self.w_out.data
+        xn, xhat, inv = _layer_norm_np(x.data, gamma, self.norm_beta.data)
+        _count_macs(2 * xn.size)
+        proj = xn @ w_in
+        _check_finite("matmul", proj)
+        _count_macs(proj.size * w_in.shape[0])
+        proj += self.b_in.data
+        _check_finite("add", proj)
+        u, z = proj[:, :self.inner], proj[:, self.inner:]
+        cw, cb = self.conv_w.data, self.conv_b.data
+        y_f, back_f = _scan_direction(u, cw, cb, self.fwd, self.scan_mode,
+                                      reverse=False)
+        _check_finite("selective_scan", y_f)
+        if not _recording():
+            back_f = None  # frees its states before the next direction runs
+        y_b, back_b = _scan_direction(u, cw, cb, self.bwd, self.scan_mode,
+                                      reverse=True)
+        _check_finite("selective_scan", y_b)
+        y = y_f + y_b
+        _check_finite("add", y)
+        del y_f, y_b
+        gate, sig = _silu_np(z)
+        _count_macs(gate.size)
+        gated = y * gate
+        _check_finite("mul", gated)
+        _count_macs(gated.size)
+        out = gated @ w_out
+        _check_finite("matmul", out)
+        _count_macs(out.size * w_out.shape[0])
+        out += self.b_out.data
+        _check_finite("add", out)
+        out += x.data
+        _check_finite("add", out)
+        out = Tensor(out)
+
+        def bwd(g):
+            nonlocal back_f, back_b
+            dgated = g @ w_out.T
+            dw_out = gated.T @ g
+            dz = _silu_grad_np(dgated * y, z, sig)
+            dy = dgated * gate
+            # each direction's saved arrays are freed once its backward ran
+            du_b, *grads_b = back_b(dy)
+            back_b = None
+            du_f, *grads_f = back_f(dy)
+            back_f = None
+            # each slice's gradient is added to zeros, as the slices' own
+            # backward did, so a -0.0 comes out as 0.0 there too
+            dproj = np.zeros_like(proj)
+            dproj[:, :self.inner] += du_b + du_f
+            dproj[:, self.inner:] += dz
+            dx, dgamma, dbeta = _layer_norm_grad_np(dproj @ w_in.T, gamma,
+                                                    xhat, inv)
+            return (g, g.sum(axis=0), dw_out, *grads_b, *grads_f,
+                    dproj.sum(axis=0), xn.T @ dproj, dx, dgamma, dbeta)
+
+        # listed in the order the separate nodes' backward reached them, so
+        # a shared tensor (x, the conv, tied directions) sums its
+        # contributions in the same order
+        _record(out, (x, self.b_out, self.w_out,
+                      self.conv_w, self.conv_b, *self.bwd.in_grad_order(),
+                      self.conv_w, self.conv_b, *self.fwd.in_grad_order(),
+                      self.b_in, self.w_in, x, self.norm_gamma,
+                      self.norm_beta), bwd)
+        return out

@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the package against.
 
 None of this runs outside the tests. The tape primitives (``sub``, ``div``,
-``neg``, ``exp``, ``softplus``, ``sum_``, ``flip_time``) and
-``tape_recurrence``, the linear recurrence as a tape node over the
-package's plain-array sweep and adjoint, are the building blocks of the
-tape-path oracles: ``tape_scan_direction``, the primitive composition
-(time flip, ``tape_conv_causal``, SiLU, ``tape_selective_scan``, time flip)
-the fused scan-direction node replaces, and ``tape_recon_loss`` and
-``tape_task_loss``, the compositions the one-node loss terms replace.
+``neg``, ``exp``, ``softplus``, ``silu``, ``slicer``, ``sum_``,
+``flip_time``) and ``tape_recurrence``, the linear recurrence as a tape
+node over the package's plain-array sweep and adjoint, are the building
+blocks of the tape-path oracles: ``tape_scan_direction``, the primitive
+composition (time flip, ``tape_conv_causal``, SiLU,
+``tape_selective_scan``, time flip) that ``scan_direction_node``, one
+direction of the package's scan as a tape node, replaces;
+``tape_bimamba``, the 13-node composition the one-node BiMamba call
+replaces; and ``tape_recon_loss`` and ``tape_task_loss``, the compositions
+the one-node loss terms replace.
 ``copy_on_first_accumulate_grad`` is gradient accumulation that copies,
 which the hand-over accumulation must match. The
 time-invariant oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
@@ -23,8 +26,9 @@ import numpy as np
 
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    Tensor, _check_finite, _count_macs, _record, _sigmoid_np, _unbroadcast,
-    add, concat, matmul, mul, reshape, silu, slicer, transpose,
+    Tensor, _check_finite, _count_macs, _record, _sigmoid_np, _silu_grad_np,
+    _silu_np, _unbroadcast, add, concat, layer_norm, matmul, mul, reshape,
+    transpose,
 )
 
 
@@ -85,6 +89,30 @@ def softplus(a):
 
     def bwd(g):
         return (g * _sigmoid_np(a.data),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def silu(a):
+    y, s = _silu_np(a.data)
+    out = Tensor(y)
+    _count_macs(out.size)
+
+    def bwd(g):
+        return (_silu_grad_np(g, a.data, s),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def slicer(a, key):
+    out = Tensor(a.data[key].copy())
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
 
     _record(out, (a,), bwd)
     return out
@@ -222,6 +250,34 @@ def tape_scan_direction(u, conv_w, conv_b, params, mode, reverse):
     flip = flip_time if reverse else (lambda t: t)
     x = silu(tape_conv_causal(flip(u), conv_w, conv_b))
     return flip(tape_selective_scan(x, params, mode))
+
+
+def scan_direction_node(u, conv_w, conv_b, params, mode, reverse):
+    """One BiMamba scan direction as a single tape node over the package's
+    numpy forward and backward, ``ssm._scan_direction``."""
+    y, bwd = ssm._scan_direction(u.data, conv_w.data, conv_b.data, params,
+                                 mode, reverse)
+    out = Tensor(y)
+    _check_finite("selective_scan", out.data)
+    _record(out, (u, conv_w, conv_b, *params.in_grad_order()), bwd)
+    return out
+
+
+def tape_bimamba(block, x):
+    """A BiMamba call as 13 tape nodes: the layer norm, the input matmul
+    and bias, two slices, one scan-direction node per direction, their sum,
+    the gate's SiLU and product, the output matmul and bias, and the
+    residual add."""
+    xn = layer_norm(x, block.norm_gamma, block.norm_beta)
+    proj = add(matmul(xn, block.w_in), block.b_in)
+    u = slicer(proj, (slice(None), slice(0, block.inner)))
+    z = slicer(proj, (slice(None), slice(block.inner, 2 * block.inner)))
+    y_f = scan_direction_node(u, block.conv_w, block.conv_b, block.fwd,
+                              block.scan_mode, reverse=False)
+    y_b = scan_direction_node(u, block.conv_w, block.conv_b, block.bwd,
+                              block.scan_mode, reverse=True)
+    gated = mul(add(y_f, y_b), silu(z))
+    return add(x, add(matmul(gated, block.w_out), block.b_out))
 
 
 def copy_on_first_accumulate_grad(self, g):

@@ -28,12 +28,13 @@ from mamba_fusion.harness import (
     evaluate_sweep,
 )
 from mamba_fusion.model import PRESETS, build_model
-from mamba_fusion.ssm import SSMParams, _selective_scan
+from mamba_fusion.ssm import SSMParams
 from mamba_fusion.tc_mamba import SharedTransitionPair
 from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
 from mamba_fusion.training import TrainConfig, train, _batch_loss
 from oracles import (
-    LTIParams, discretize, lti_scan, model_param_count, sharing_saving, sum_,
+    LTIParams, discretize, lti_scan, model_param_count, scan_direction_node,
+    sharing_saving, sum_,
 )
 
 
@@ -394,7 +395,8 @@ def test_acceptance_09_complexity_argument():
         for mode in ("recurrent", "parallel"):
             for reverse in (False, True):
                 with MacCounter() as counter:
-                    _selective_scan(u, conv_w, conv_b, params, mode, reverse)
+                    scan_direction_node(u, conv_w, conv_b, params, mode,
+                                        reverse)
                 # the direction's width-4 conv and SiLU, then the scan
                 instr_ok &= counter.macs == 5 * length * channels \
                     + macs_selective_scan(length, channels, state_dim, mode)

@@ -13,10 +13,12 @@ from mamba_fusion import autodiff
 from mamba_fusion.autodiff import (
     MacCounter, Parameter, Tape, Tensor, add, backward, concat,
     finite_difference_check, l2_normalize_lastdim, layer_norm,
-    matmul, max_over_time, mul, no_grad, relu, reshape, silu, slicer,
-    softmax_lastdim, transpose,
+    matmul, max_over_time, mul, no_grad, relu, reshape, softmax_lastdim,
+    transpose,
 )
-from oracles import div, exp, flip_time, neg, softplus, sub, sum_
+from oracles import (
+    div, exp, flip_time, neg, silu, slicer, softplus, sub, sum_,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from mamba_fusion.bench import (
     wallclock,
 )
 from mamba_fusion.model import PRESETS, ModelConfig, build_model
-from mamba_fusion.ssm import SCAN_MODES, BiMamba, SSMParams, _selective_scan
+from mamba_fusion.ssm import SCAN_MODES, BiMamba, SSMParams
 from oracles import (
     LTIParams, bimamba_param_count, lti_scan, model_param_count,
-    reconstructor_param_count, sharing_saving,
+    reconstructor_param_count, scan_direction_node, sharing_saving,
 )
 
 
@@ -35,7 +35,7 @@ def test_selective_scan_macs_match_instrumented_count(shape, mode):
     u = Tensor(rng.standard_normal((length, channels)))
     for reverse in (False, True):
         with MacCounter() as counter:
-            _selective_scan(u, conv_w, conv_b, params, mode, reverse)
+            scan_direction_node(u, conv_w, conv_b, params, mode, reverse)
         assert counter.macs == (
             5 * length * channels
             + macs_selective_scan(length, channels, state_dim, mode))

@@ -7,19 +7,20 @@ import pytest
 
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, backward, finite_difference_check,
-    mul, no_grad, silu,
+    MacCounter, Parameter, Tape, Tensor, add, backward,
+    finite_difference_check, mul, no_grad,
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.ssm import (
-    BiMamba, SSMParams, _adjoint_sweep, _selective_scan,
+    BiMamba, SSMParams, _adjoint_sweep,
     depthwise_conv_causal, linear_recurrence_parallel,
     linear_recurrence_sequential,
 )
+from mamba_fusion.tc_mamba import SharedTransitionPair
 from oracles import (
     LTIParams, discretize, flip_time, lti_scan, reverse_sweep_adjoint,
-    step_by_step_sweep, sum_, tape_conv_causal, tape_scan_direction,
-    whole_array_sweep,
+    scan_direction_node, silu, step_by_step_sweep, sum_, tape_bimamba,
+    tape_conv_causal, tape_scan_direction, whole_array_sweep,
 )
 
 
@@ -218,7 +219,7 @@ def test_only_the_scan_node_records_on_the_tape(rec, mode):
         with Tape() as tape:
             h = rec(a, b)
             assert type(h) is np.ndarray and tape.records == []
-            _selective_scan(u, *weights, mode, reverse)
+            scan_direction_node(u, *weights, mode, reverse)
         assert len(tape.records) == 1
 
 
@@ -358,8 +359,8 @@ def test_selective_scan_parallel_matches_recurrent():
     for seed in range(5):
         weights, u = _random_selective(seed)
         for reverse in REVERSE:
-            y_r = _selective_scan(u, *weights, "recurrent", reverse)
-            y_p = _selective_scan(u, *weights, "parallel", reverse)
+            y_r = scan_direction_node(u, *weights, "recurrent", reverse)
+            y_p = scan_direction_node(u, *weights, "parallel", reverse)
             np.testing.assert_allclose(y_p.data, y_r.data, rtol=1e-9,
                                        atol=1e-12)
 
@@ -369,8 +370,8 @@ def test_selective_scan_length_one():
     u = Tensor(np.random.default_rng(2).standard_normal((1, 6)))
     for reverse in REVERSE:
         np.testing.assert_array_equal(
-            _selective_scan(u, *weights, "recurrent", reverse).data,
-            _selective_scan(u, *weights, "parallel", reverse).data)
+            scan_direction_node(u, *weights, "recurrent", reverse).data,
+            scan_direction_node(u, *weights, "parallel", reverse).data)
 
 
 def test_selective_scan_gradients_recurrent_vs_parallel():
@@ -383,7 +384,7 @@ def test_selective_scan_gradients_recurrent_vs_parallel():
             for p in inputs:
                 p.zero_grad()
             with Tape():
-                backward(sum_(_selective_scan(u, *weights, mode, reverse)))
+                backward(sum_(scan_direction_node(u, *weights, mode, reverse)))
             grads[mode] = [p.grad.copy() for p in inputs]
         for g_r, g_p in zip(grads["recurrent"], grads["parallel"]):
             np.testing.assert_allclose(g_p, g_r, rtol=1e-6, atol=1e-10)
@@ -411,7 +412,7 @@ def test_fused_scan_forward_is_bitwise_the_tape_path(mode, shape):
     weights, u, _ = _scan_inputs(3, *shape)
     for reverse in REVERSE:
         np.testing.assert_array_equal(
-            _selective_scan(u, *weights, mode, reverse).data,
+            scan_direction_node(u, *weights, mode, reverse).data,
             tape_scan_direction(u, *weights, mode, reverse).data)
 
 
@@ -421,8 +422,9 @@ def test_fused_scan_gradients_match_the_tape_path(mode, shape):
     weights, u, weight = _scan_inputs(5, *shape)
     inputs = _inputs(u, weights)
     for reverse in REVERSE:
-        fused = _grads_of(lambda: _selective_scan(u, *weights, mode, reverse),
-                          inputs, weight)
+        fused = _grads_of(
+            lambda: scan_direction_node(u, *weights, mode, reverse), inputs,
+            weight)
         tape = _grads_of(
             lambda: tape_scan_direction(u, *weights, mode, reverse), inputs,
             weight)
@@ -466,7 +468,7 @@ def test_fused_scan_forward_is_close_to_the_logaddexp_sum_forward(mode,
         u_in = u.data[::-1] if reverse else u.data
         x = silu(tape_conv_causal(Tensor(u_in), conv_w, conv_b)).data
         old, scale = _logaddexp_sum_forward(x, params, mode)
-        y = _selective_scan(u, *weights, mode, reverse).data
+        y = scan_direction_node(u, *weights, mode, reverse).data
         err = np.abs((y[::-1] if reverse else y) - old)
         assert np.all(err <= 1e-12 * scale), np.max(err / scale)
 
@@ -488,7 +490,7 @@ def test_fused_scan_counts_the_tape_paths_multiplies():
     for mode in ("recurrent", "parallel"):
         for reverse in REVERSE:
             counts = []
-            for fn in (_selective_scan, tape_scan_direction):
+            for fn in (scan_direction_node, tape_scan_direction):
                 with MacCounter() as counter:
                     fn(u, *weights, mode, reverse)
                 counts.append(counter.macs)
@@ -500,8 +502,9 @@ def test_selective_scan_gradients_match_finite_differences():
     for mode in ("recurrent", "parallel"):
         for reverse in REVERSE:
             err = finite_difference_check(
-                lambda: sum_(mul(_selective_scan(u, *weights, mode, reverse),
-                                 Tensor(weight))),
+                lambda: sum_(mul(
+                    scan_direction_node(u, *weights, mode, reverse),
+                    Tensor(weight))),
                 _inputs(u, weights))
             assert err < 1e-4, f"{mode} reverse={reverse}: {err}"
 
@@ -532,7 +535,7 @@ def test_scan_backward_peak_memory(mode):
     weights, u, weight = _scan_inputs(8, *PEAK_SHAPE)
     for reverse in REVERSE:
         with Tape() as tape:
-            _selective_scan(u, *weights, mode, reverse)
+            scan_direction_node(u, *weights, mode, reverse)
         (_, _, bwd), = tape.records
         peak = _peak_full_arrays(lambda: bwd(weight))
         assert peak < 3.5, f"reverse={reverse}: peak {peak:.2f} full arrays"
@@ -550,7 +553,7 @@ def test_scan_forward_peak_memory(monkeypatch, mode):
     for reverse in REVERSE:
         def forward():
             with no_grad():
-                _selective_scan(u, *weights, mode, reverse)
+                scan_direction_node(u, *weights, mode, reverse)
 
         peak = _peak_full_arrays(forward)
         assert peak < 2.5, f"reverse={reverse}: peak {peak:.2f} full arrays"
@@ -624,7 +627,7 @@ def test_bimamba_time_symmetry_with_tied_directions():
     block.bwd = block.fwd  # tie the two directions
     half = rng.standard_normal((3, 6))
     x = Tensor(np.concatenate([half, half[::-1]], axis=0))  # X == flip(X)
-    out = block.branch(x)
+    out = block(x)  # the residual adds the symmetric x
     np.testing.assert_allclose(out.data, out.data[::-1], atol=1e-10)
 
 
@@ -709,16 +712,99 @@ def test_fused_conv_matches_the_tape_path(length, width):
     assert fused.macs == tape.macs == width * length * 5
 
 
-def test_desk_bimamba_records_13_tape_nodes():
-    # layer norm; input projection (matmul, bias, two slices); one scan
-    # node per direction, each running its conv, silu and time flips; the
-    # gate (sum, silu, product); output projection (matmul, bias); residual
-    # add
+def test_desk_bimamba_records_one_tape_node():
+    # the layer norm, input projection, both scan directions, gate, output
+    # projection and residual run inside one node; tape_bimamba records 13
     block = build_model("desk", seed=0).latent.blocks[0]
     x = Tensor(np.random.default_rng(0).standard_normal((16, 32)))
-    with Tape() as tape:
-        block(x)
-    assert len(tape.records) == 13
+    for call, nodes in ((BiMamba.__call__, 1), (tape_bimamba, 13)):
+        with Tape() as tape:
+            call(block, x)
+        assert len(tape.records) == nodes
+
+
+# (d_model, state_dim, expansion, conv_width, length) of each case; the
+# "grads-held" case starts x and every parameter with a gradient, as a
+# batch's later samples find them, so the order in which a tensor sums its
+# contributions shows; "tied-directions" gives both directions one
+# SSMParams, and "shared-a_log" runs the two streams of a
+# SharedTransitionPair, which share their a_log Parameters
+BLOCK_CASES = {
+    "expansion-1": (6, 3, 1, 4, 7),
+    "expansion-2": (6, 3, 2, 4, 7),
+    "length-1": (6, 3, 2, 4, 1),
+    "conv-wider-than-length": (5, 2, 2, 6, 3),
+    "grads-held": (6, 3, 2, 4, 7),
+    "tied-directions": (4, 3, 2, 4, 6),
+    "shared-a_log": (6, 3, 2, 4, 7),
+}
+
+
+def _block_case(case, mode):
+    """The case's blocks, their inputs and output probes, and the
+    gradients that the parameters and inputs hold beforehand, by name."""
+    d_model, state_dim, expansion, width, length = BLOCK_CASES[case]
+    rng = np.random.default_rng(sorted(BLOCK_CASES).index(case))
+    kwargs = dict(expansion=expansion, conv_width=width, scan_mode=mode)
+    if case == "shared-a_log":
+        pair = SharedTransitionPair(d_model, state_dim, rng, **kwargs)
+        blocks = [pair.text, pair.partner]
+    else:
+        blocks = [BiMamba(d_model, state_dim, rng, **kwargs)]
+    if case == "tied-directions":
+        blocks[0].bwd = blocks[0].fwd
+    # move the zero biases and unit scales off their initial values
+    for block in blocks:
+        for p in block.parameters():
+            p.data = p.data + rng.uniform(-0.2, 0.2, p.shape)
+    xs = [Parameter(rng.standard_normal((length, d_model)), name=f"x{i}")
+          for i in range(len(blocks))]
+    probes = [Tensor(rng.standard_normal((length, d_model))) for _ in xs]
+    held = [p for b in blocks for p in b.parameters()] + xs
+    priors = {t.name: rng.standard_normal(t.shape) for t in held} \
+        if case == "grads-held" else {}
+    return blocks, xs, probes, priors
+
+
+def _run_blocks(call, blocks, xs, probes, priors):
+    """Outputs, then the gradients of every parameter and input, after
+    backward through sum(call(block, x) * probe) over the blocks."""
+    params = list({id(p): p for b in blocks for p in b.parameters()}.values())
+    for t in params + xs:
+        prior = priors.get(t.name)
+        t.grad = None if prior is None else prior.copy()
+    with Tape():
+        outs = [call(b, x) for b, x in zip(blocks, xs)]
+        loss = sum_(mul(outs[0], probes[0]))
+        for out, probe in zip(outs[1:], probes[1:]):
+            loss = add(loss, sum_(mul(out, probe)))
+        backward(loss)
+    return ([o.data for o in outs],
+            [(t.name, t.grad) for t in params + xs])
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_bimamba_node_is_bitwise_the_tape_path(case, mode):
+    blocks, xs, probes, priors = _block_case(case, mode)
+    outs, grads = _run_blocks(BiMamba.__call__, blocks, xs, probes, priors)
+    outs_t, grads_t = _run_blocks(tape_bimamba, blocks, xs, probes, priors)
+    for out, out_t in zip(outs, outs_t):
+        np.testing.assert_array_equal(out, out_t)
+    for (name, g), (_, g_t) in zip(grads, grads_t):
+        np.testing.assert_array_equal(g, g_t, err_msg=name)
+
+
+def test_bimamba_node_fails_where_the_tape_path_fails():
+    # a non-finite input projection is caught by the matmul's check, before
+    # the conv, in both
+    block = BiMamba(4, 2, np.random.default_rng(0))
+    block.w_in.data[0, 0] = np.inf
+    x = Tensor(np.random.default_rng(1).standard_normal((5, 4)))
+    for call in (BiMamba.__call__, tape_bimamba):
+        with pytest.raises(FloatingPointError,
+                           match="^matmul: non-finite values encountered$"):
+            call(block, x)
 
 
 def test_flip_time_matches_numpy_flip():
