@@ -298,13 +298,9 @@ def cmd_gradcheck(args):
     ds = _synthetic(model_cfg, 2, args.seed)
     cfg = harness.CorruptionConfig(mode="test_fixed", rate=0.3, seed=args.seed)
     batch = harness.corrupt_batch(ds.samples, cfg, ds.unknown_text_vector)
-
-    def loss_fn():
-        loss, _ = training._batch_loss(model, batch, lambda_rec=0.7)
-        return loss
-
-    err = finite_difference_check(loss_fn, model.parameters(),
-                                  per_coordinate=args.per_coordinate)
+    err = finite_difference_check(
+        lambda: training.batch_loss(model, batch, 0.7)[0], model.parameters(),
+        per_coordinate=args.per_coordinate)
     print(f"max relative gradient error: {err:.3e} (tolerance 1e-4)")
     if err >= 1e-4:
         print("gradient check FAILED")

@@ -97,7 +97,7 @@ class AdamW:
             p.zero_grad()
 
 
-def _batch_loss(model, batch, lambda_rec):
+def batch_loss(model, batch, lambda_rec):
     y_hats = []
     recs = []
     for cs in batch:
@@ -113,13 +113,30 @@ def _batch_loss(model, batch, lambda_rec):
     return total_loss(task, rec_mean, lambda_rec), float(task.data)
 
 
+def train_step(model, opt, batch, lambda_rec, lr):
+    """One step on task loss + lambda_rec * reconstruction loss; returns
+    (loss, task loss) as floats. The tape is dropped before ``opt.step()``,
+    and a parameter the step made non-finite is named in the error."""
+    opt.zero_grad()
+    with Tape():
+        loss, task = batch_loss(model, batch, lambda_rec)
+        backward(loss)
+    opt.lr = lr
+    opt.step()
+    bad = next((p.name for p in opt.params
+                if not np.isfinite(p.data).all()), None)
+    if bad is not None:
+        raise FloatingPointError(f"optimizer step made {bad} non-finite")
+    return float(loss.data), task
+
+
 def train(model, train_samples, cfg: TrainConfig, unknown_text_vector,
           valid_samples=()):
     """Train in place; returns a history dict including the loss curve.
 
-    Corruption runs in train-uncertain mode every step. The parameters
-    achieving the best validation MAE are restored at the end (when a
-    validation set is given).
+    Corruption runs in train-uncertain mode every step. Given a validation
+    set, every val_every-th epoch and the last are validated, and the
+    parameters achieving the best validation MAE are restored at the end.
     """
     params = model.parameters()
     opt = AdamW(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -142,28 +159,19 @@ def train(model, train_samples, cfg: TrainConfig, unknown_text_vector,
                                     unknown_text_vector,
                                     sample_index=int(i), epoch=epoch + 1)
                      for i in batch_idx]
-            opt.zero_grad()
             try:
-                with Tape():
-                    loss, task_val = _batch_loss(model, batch, cfg.lambda_rec)
-                    if not np.isfinite(loss.data):
-                        raise FloatingPointError("non-finite loss")
-                    backward(loss)
-                opt.lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_frac)
-                opt.step()
-                bad = next((p.name for p in params
-                            if not np.isfinite(p.data).all()), None)
-                if bad is not None:
-                    raise FloatingPointError(
-                        f"optimizer step made {bad} non-finite")
+                loss, task_val = train_step(
+                    model, opt, batch, cfg.lambda_rec,
+                    lr_at(step, total_steps, cfg.lr, cfg.warmup_frac))
             except FloatingPointError as e:
                 raise FloatingPointError(
                     f"training aborted at step {step}: {e}") from e
-            history["loss"].append(float(loss.data))
+            history["loss"].append(loss)
             history["task_loss"].append(task_val)
             history["lr"].append(opt.lr)
             step += 1
-        if valid_samples and (epoch + 1) % cfg.val_every == 0:
+        if valid_samples and ((epoch + 1) % cfg.val_every == 0
+                              or epoch + 1 == cfg.epochs):
             try:
                 mae = evaluate_fixed(model, valid_samples,
                                      unknown_text_vector, 0.0)["mae"]

@@ -31,7 +31,7 @@ from mamba_fusion.model import PRESETS, build_model
 from mamba_fusion.ssm import SSMParams
 from mamba_fusion.tc_mamba import SharedTransitionPair
 from mamba_fusion.tme import recon_loss, threshold_mask, token_similarity
-from mamba_fusion.training import TrainConfig, train, _batch_loss
+from mamba_fusion.training import TrainConfig, train, batch_loss
 from oracles import (
     LTIParams, discretize, lti_scan, model_param_count, scan_direction_node,
     sharing_saving, sum_,
@@ -145,13 +145,9 @@ def test_acceptance_03_full_model_gradient_check():
     batch = [corrupt_sample(s, cfg, ds.unknown_text_vector, sample_index=i)
              for i, s in enumerate(ds.samples)]
 
-    def loss_fn():
-        loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
-        return loss
-
     # every Parameter object, 8 evenly spaced coordinates per array
-    err = finite_difference_check(loss_fn, model.parameters(),
-                                  per_coordinate=8)
+    err = finite_difference_check(lambda: batch_loss(model, batch, 0.7)[0],
+                                  model.parameters(), per_coordinate=8)
     elapsed = time.perf_counter() - start
     _report(3, "full desk-scale model passes central finite differences "
                "(rtol 1e-4, all parameter arrays, 8 coords each, < 5 min)",

@@ -13,7 +13,7 @@ from mamba_fusion.harness import (
     CorruptionConfig, corrupt_batch, task_loss_tensor,
 )
 from mamba_fusion.model import ModelConfig, PRESETS, TextFusionModel, build_model
-from mamba_fusion.training import AdamW, _batch_loss
+from mamba_fusion.training import AdamW, batch_loss
 from oracles import copy_on_first_accumulate_grad
 
 
@@ -138,7 +138,7 @@ def test_every_parameter_receives_a_gradient(overrides):
             p.zero_grad()
         with Tape():
             if clean_text:
-                loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
+                loss, _ = batch_loss(model, batch, lambda_rec=0.7)
             else:
                 loss = task_loss_tensor(
                     [model.forward(cs.x_t, cs.x_v, cs.x_a)[0]
@@ -160,7 +160,7 @@ def _desk_gradients(overrides):
     batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
                           ds.unknown_text_vector)
     with Tape():
-        loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
+        loss, _ = batch_loss(model, batch, lambda_rec=0.7)
         backward(loss)
     return model.parameters(), AdamW(model.parameters())
 

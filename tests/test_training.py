@@ -1,8 +1,12 @@
 """Tests for the optimizer, schedule, and the deterministic training loop."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
+from mamba_fusion import autodiff
 from mamba_fusion.autodiff import Parameter, Tape, backward, mul
 from mamba_fusion.datagen import generate
 from mamba_fusion.harness import (
@@ -10,7 +14,7 @@ from mamba_fusion.harness import (
 )
 from mamba_fusion.model import build_model
 from mamba_fusion.training import (
-    AdamW, TrainConfig, _batch_loss, loss_curve_csv, lr_at, train,
+    AdamW, TrainConfig, loss_curve_csv, lr_at, train, train_step,
 )
 from oracles import sum_
 
@@ -132,11 +136,7 @@ def test_desk_training_step_peak_memory():
     def step(epoch):
         batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
                               ds.unknown_text_vector, epoch=epoch)
-        opt.zero_grad()
-        with Tape():
-            loss, _ = _batch_loss(model, batch, lambda_rec=0.7)
-            backward(loss)
-        opt.step()
+        train_step(model, opt, batch, 0.7, 1e-4)
 
     step(1)          # the moments and the last step's gradients are held
     tracemalloc.start()
@@ -146,6 +146,30 @@ def test_desk_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8.0 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_train_step_drops_the_tape_before_the_optimizer_step():
+    # a tape kept alive through AdamW.step would hold every node's output
+    # and inputs while the step allocates new parameters and moments
+    model = build_model("desk", seed=0)
+    ds = generate(2, seed=1)
+    batch = corrupt_batch(ds.samples, CorruptionConfig(seed=1),
+                          ds.unknown_text_vector)
+    opt = AdamW(model.parameters())
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Tape)]
+    seen = []
+    step = opt.step
+
+    def checked_step():
+        tapes = [o for o in gc.get_objects()
+                 if isinstance(o, Tape) and o not in before]
+        seen.append((autodiff._active_tape, len(tapes)))
+        step()
+
+    opt.step = checked_step
+    train_step(model, opt, batch, 0.7, 1e-4)
+    assert seen == [(None, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +206,20 @@ def test_training_reduces_loss(tiny_setup):
     assert last < first
 
 
-def test_best_validation_state_is_restored(tiny_setup):
+@pytest.mark.parametrize("val_every, validated", [
+    (1, [0, 1, 2]), (2, [1, 2]), (5, [2])],
+    ids=["every-1", "every-2", "every-5"])
+def test_best_validation_state_is_restored(tiny_setup, val_every, validated):
+    # the last epoch is validated whether or not val_every divides it
     ds, cfg = tiny_setup
+    cfg = dataclasses.replace(cfg, val_every=val_every)
     model = build_model("desk", seed=1)
     history = train(model, ds.samples[:6], cfg, ds.unknown_text_vector,
                     valid_samples=ds.samples[6:])
     restored = evaluate_fixed(model, ds.samples[6:], ds.unknown_text_vector,
                               0.0)["mae"]
     assert restored == history["best_val_mae"]
+    assert [epoch for epoch, _ in history["val_mae"]] == validated
     assert history["best_val_mae"] == min(m for _, m in history["val_mae"])
 
 
