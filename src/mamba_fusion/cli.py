@@ -7,7 +7,8 @@ snapshot next to its artifacts, with a [run] section that records the
 command; a config file may carry that section, which is ignored, so a
 snapshot can be fed back as --config. Any other section is a usage error.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error or out of memory, 2 numeric failure,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -383,6 +384,10 @@ def main(argv=None):
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    # numpy's message names the array it could not allocate
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except FloatingPointError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

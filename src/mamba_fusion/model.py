@@ -55,12 +55,13 @@ class ModelConfig:
     use_attention: bool = False
 
     def __post_init__(self):
-        for name in _SIZE_FIELDS:
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.tq_depth < 0:
-            raise ValueError(f"tq_depth must be >= 0, got {self.tq_depth}")
+        # numpy's largest extent; numpy fails a larger size naming no field
+        top = np.iinfo(np.intp).max
+        for name in _SIZE_FIELDS + ("tq_depth",):
+            low = 0 if name == "tq_depth" else 1
+            if not low <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must be in [{low}, {top}], "
+                                 f"got {getattr(self, name)}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         # a finite difference implies finite bounds; NaN fails both tests

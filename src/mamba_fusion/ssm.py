@@ -356,9 +356,11 @@ class BiMamba(Module):
     def __call__(self, x):
         """x + W_out (silu(z) * (y_f + y_b)) + b_out as one tape node, where
         [u, z] = W_in LayerNorm(x) + b_in and y_f, y_b are the scan
-        directions over u. Its float operations, finite checks, MAC counts
-        and gradient accumulation order are those of the same composition
-        recorded as one node per primitive."""
+        directions over u. It keeps the float operations, MAC counts and
+        gradient summation order of that composition recorded one node per
+        primitive, and its gradients equal the composition's up to a zero's
+        sign. It checks its input, its input projection (as "matmul") and
+        its output (under the block's name)."""
         if not np.isfinite(x.data).all():
             raise FloatingPointError(f"{self.name}: non-finite input")
         gamma, w_in = self.norm_gamma.data, self.w_in.data
@@ -369,32 +371,27 @@ class BiMamba(Module):
         _check_finite("matmul", proj)
         _count_macs(proj.size * w_in.shape[0])
         proj += self.b_in.data
-        _check_finite("add", proj)
         u, z = proj[:, :self.inner], proj[:, self.inner:]
         cw, cb = self.conv_w.data, self.conv_b.data
         y_f, back_f = _scan_direction(u, cw, cb, self.fwd, self.scan_mode,
                                       reverse=False)
-        _check_finite("selective_scan", y_f)
         if not _recording():
             back_f = None  # frees its states before the next direction runs
         y_b, back_b = _scan_direction(u, cw, cb, self.bwd, self.scan_mode,
                                       reverse=True)
-        _check_finite("selective_scan", y_b)
         y = y_f + y_b
-        _check_finite("add", y)
         del y_f, y_b
         gate, sig = _silu_np(z)
         _count_macs(gate.size)
         gated = y * gate
-        _check_finite("mul", gated)
         _count_macs(gated.size)
         out = gated @ w_out
-        _check_finite("matmul", out)
         _count_macs(out.size * w_out.shape[0])
         out += self.b_out.data
-        _check_finite("add", out)
         out += x.data
-        _check_finite("add", out)
+        # a nan or inf past the projection reaches out through +, *, the
+        # gate (-inf * sigmoid(-inf) is nan) and every matmul row (inf * 0)
+        _check_finite(self.name, out)
         out = Tensor(out)
 
         def bwd(g):
@@ -408,11 +405,7 @@ class BiMamba(Module):
             back_b = None
             du_f, *grads_f = back_f(dy)
             back_f = None
-            # each slice's gradient is added to zeros, as the slices' own
-            # backward did, so a -0.0 comes out as 0.0 there too
-            dproj = np.zeros_like(proj)
-            dproj[:, :self.inner] += du_b + du_f
-            dproj[:, self.inner:] += dz
+            dproj = np.concatenate([du_b + du_f, dz], axis=1)
             dx, dgamma, dbeta = _layer_norm_grad_np(dproj @ w_in.T, gamma,
                                                     xhat, inv)
             return (g, g.sum(axis=0), dw_out, *grads_b, *grads_f,

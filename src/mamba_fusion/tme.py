@@ -119,8 +119,8 @@ def recon_loss(x_t_clean, x_tilde, p_t):
 
     With d = (x_tilde - x_t_clean) * gate, gate 1 at missing positions, a
     cell costs 0.5 d^2 where |d| < 1 and |d| - 0.5 elsewhere. The gradient
-    with respect to x_tilde is clip(d, -1, 1) * gate, so it vanishes at
-    observed positions; the loss is exactly zero when all are observed.
+    with respect to x_tilde is clip(d, -1, 1), which vanishes at observed
+    positions as d does; the loss is exactly zero when all are observed.
     """
     if x_t_clean.shape != x_tilde.shape:
         raise ValueError("recon_loss: prediction/target shape mismatch")
@@ -133,11 +133,11 @@ def recon_loss(x_t_clean, x_tilde, p_t):
     d = (x_tilde.data - x_t_clean.data) * gate
     abs_d = np.abs(d)
     cell = np.where(abs_d < 1.0, d * d * 0.5, abs_d - 0.5)
-    out = Tensor((cell * gate).sum() * scale)
+    out = Tensor(cell.sum() * scale)
     _check_finite("recon_loss", out.data)
 
     def bwd(g):
-        return ((g * scale) * gate * np.clip(d, -1.0, 1.0) * gate,)
+        return ((g * scale) * np.clip(d, -1.0, 1.0),)
 
     _record(out, (x_tilde,), bwd)
     return out

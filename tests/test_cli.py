@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mamba_fusion import tme
 from mamba_fusion.bench import model_macs
 from mamba_fusion.cli import load_config, main
 from mamba_fusion.model import PRESETS
@@ -192,13 +193,16 @@ def test_help_still_exits_zero(capsys):
     (["train", "--set", "train.lambda_rec=inf"], "lambda_rec"),
     (["train", "--set", "train.epochs=1.5"], "train.epochs: expected int"),
     (["bench", "--set", "model.tau=warm"], "model.tau: expected float"),
+    # beyond numpy's largest extent, which np.sqrt could not even take
+    (["bench", "--set", f"model.d_text={10**30}"], "d_text"),
+    (["bench", "--set", f"model.conv_width={10**30}"], "conv_width"),
 ], ids=["heads", "d_model", "conv_width", "state_dim", "tau", "length",
         "batch_size", "epochs", "epochs-flag", "val_every", "lr", "lr-nan",
         "eps", "beta1", "beta2", "weight_decay", "warmup_frac-low",
         "warmup_frac-high", "label_low", "label_low-nan", "label_high-inf",
         "label-span-overflows", "tau-inf", "lr-inf", "eps-inf",
         "weight_decay-inf", "lambda_rec-inf", "epochs-not-int",
-        "tau-not-float"])
+        "tau-not-float", "d_text-huge", "conv_width-huge"])
 def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
                                                         argv, word):
     code = main(argv + ["--n", "8"] * (argv[0] == "train")
@@ -207,6 +211,26 @@ def test_out_of_range_setting_is_a_one_line_usage_error(tmp_path, capsys,
     assert code == 1
     assert word in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                 "(100000, 100000) and data type float64"),
+     "error: Unable to allocate 74.5 GiB for an array with shape "
+     "(100000, 100000) and data type float64"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_exit_1_in_one_line(monkeypatch, tmp_path, capsys,
+                                             error, line):
+    # as numpy fails a model.t_text=100000 resample matrix, without
+    # allocating one
+    def resample_matrix(t_in, t_out):
+        raise error
+
+    monkeypatch.setattr(tme, "resample_matrix", resample_matrix)
+    code = main(["bench", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_numeric_failure_is_exit_2_in_one_line(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for discretization, the three scan strategies, and the Bi-Mamba block."""
 
+import re
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -805,6 +807,39 @@ def test_bimamba_node_fails_where_the_tape_path_fails():
         with pytest.raises(FloatingPointError,
                            match="^matmul: non-finite values encountered$"):
             call(block, x)
+
+
+# the parameter and index of each fault, and the check that names it: the
+# input projection's, the conv's for the u half of b_in, and the block's
+# output check (None) past the projection
+FAULT_SITES = {
+    "w_in": ("w_in", (0, 0), "matmul"),
+    "b_in-u": ("b_in", (0,), "depthwise_conv_causal"),
+    "b_in-z": ("b_in", (-1,), None),
+    "fwd.d_skip": ("fwd.d_skip", (0,), None),
+    "bwd.w_c": ("bwd.w_c", (0, 0), None),
+    "w_out": ("w_out", (0, 0), None),
+    "b_out": ("b_out", (0,), None),
+}
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["tape", "no_grad"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("site", list(FAULT_SITES))
+def test_bimamba_node_fails_at_every_former_check_site(site, value,
+                                                       recording):
+    attr, index, check = FAULT_SITES[site]
+    block = BiMamba(4, 2, np.random.default_rng(0), name="tc0.tv.text")
+    attrgetter(attr)(block).data[index] = value
+    x = Tensor(np.random.default_rng(1).standard_normal((5, 4)))
+    message = f"^{re.escape(check or block.name)}: non-finite values " \
+              "encountered$"
+    # numpy's own warnings are silenced, as the CLI does
+    with Tape() if recording else no_grad(), np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            block(x)
+        with pytest.raises(FloatingPointError):
+            tape_bimamba(block, x)
 
 
 def test_flip_time_matches_numpy_flip():

@@ -322,8 +322,11 @@ def _recon_value_and_grad(loss_fn, clean, pred, p_t):
     return loss.data, x_tilde.grad
 
 
-@pytest.mark.parametrize("seed,observed", [
-    (0, 0.4), (1, 0.4), (2, 0.0), (3, 0.8), (5, 0.7), (4, 1.0)])
+# (seed, share of text positions observed) of each case
+RECON_CASES = [(0, 0.4), (1, 0.4), (2, 0.0), (3, 0.8), (5, 0.7), (4, 1.0)]
+
+
+@pytest.mark.parametrize("seed,observed", RECON_CASES)
 def test_recon_loss_node_equals_tape_composition(seed, observed):
     # `observed` is the share of text positions observed: some rows all
     # observed, none, or every row (a loss of exactly zero)
