@@ -138,7 +138,9 @@ class Tensor:
     def accumulate_grad(self, g):
         """Take ``g`` as the gradient if none is held, else hold a new array,
         the sum of the two; neither array is written."""
-        g = np.asarray(g, dtype=self.data.dtype)
+        # backward hands in its own arrays; only other input is converted
+        if type(g) is not np.ndarray or g.dtype != self.data.dtype:
+            g = np.asarray(g, dtype=self.data.dtype)
         if g.shape != self.data.shape:
             raise ValueError(f"accumulate_grad: gradient shape {g.shape} "
                              f"for a tensor of shape {self.data.shape}")

@@ -141,7 +141,8 @@ class TextFusionModel(Module):
         checkpoint, built without drawing any random numbers."""
         model = cls.__new__(cls)
         model._build(config, _ZeroDraws())
-        # the arrays are the checkpoint reader's own, so the model keeps them
+        # the arrays are the checkpoint reader's own, so the model keeps
+        # them, copying only a read-only or non-C-ordered one
         model._assign_state_arrays(named, np.asarray)
         return model
 
@@ -216,7 +217,10 @@ class TextFusionModel(Module):
     # -- checkpointing ------------------------------------------------------
 
     def state_arrays(self):
-        """(name, array) pairs of the parameters, in ``parameters()`` order."""
+        """(name, array) pairs of the parameters, in ``parameters()`` order.
+
+        The arrays are the live parameters, not copies: a later optimizer
+        step writes into them, so a caller that keeps them copies them."""
         return [(p.name, p.data) for p in self.parameters()]
 
     def load_state_arrays(self, named):
@@ -244,8 +248,11 @@ class TextFusionModel(Module):
                 raise ValueError(
                     f"shape mismatch for {name}: checkpoint "
                     f"{arrays[name].shape}, model {p.data.shape}")
+        # the optimizer writes each parameter in place, through a flat view
+        # that only a C-ordered, writeable array gives
         for name, p in params.items():
-            p.data = convert(arrays[name], dtype=p.data.dtype)
+            p.data = np.require(convert(arrays[name], dtype=p.data.dtype),
+                                requirements="CW")
 
 
 def build_model(preset="desk", seed=0, **overrides):

@@ -61,8 +61,19 @@ def lr_at(step, total_steps, base_lr, warmup_frac):
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+# Bytes of one block of a parameter's flattened storage. AdamW.step runs
+# every op of its update on one block while it is in cache, instead of
+# streaming the whole parameter once per op.
+ADAMW_BLOCK_BYTES = 128 * 1024
+
+
 class AdamW:
-    """Adam with decoupled weight decay."""
+    """Adam with decoupled weight decay (Loshchilov & Hutter, arXiv
+    1711.05101), updating its moments and the parameters in place.
+
+    Each parameter's ``data`` must be a C-contiguous, writeable array, as
+    ``TextFusionModel``'s builders and loaders leave it; the step writes
+    into it, so a caller that keeps a parameter's array sees it change."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.01):
@@ -73,24 +84,54 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = self.v = None      # allocated by the first step
+        # the moments and two block-sized scratch buffers are allocated by
+        # the first step
+        self.m = self.v = self._scratch = None
 
     def step(self):
+        """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p -= lr * (m/c1 / (sqrt(v/c2) + eps) + wd*p), with c1 = 1 - b1**t
+        and c2 = 1 - b2**t, run in that float order one block at a time;
+        a missing gradient steps as zeros, which still decay the moments
+        and the weights."""
+        block = ADAMW_BLOCK_BYTES // 8
         if self.t == 0:
             self.m = [np.zeros_like(p.data) for p in self.params]
             self.v = [np.zeros_like(p.data) for p in self.params]
+            self._scratch = np.empty(block), np.empty(block)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            # no gradient still decays the moments and the weights
-            g = 0.0 if p.grad is None else p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps)
-                + self.weight_decay * p.data)
+        b1, b2, eps, lr, wd = (self.beta1, self.beta2, self.eps, self.lr,
+                               self.weight_decay)
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        s_full, r_full = self._scratch
+        for p, m, v in zip(self.params, self.m, self.v):
+            if not p.data.flags.c_contiguous:
+                # its flat "view" would be a copy, and the update lost
+                raise ValueError(f"AdamW: {p.name} is not C-contiguous")
+            data, m, v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+            g = None if p.grad is None \
+                else np.ascontiguousarray(p.grad).reshape(-1)
+            for j in range(0, data.size, block):
+                blk = slice(j, j + block)
+                pb, mb, vb = data[blk], m[blk], v[blk]
+                gb = 0.0 if g is None else g[blk]
+                s, r = s_full[:pb.size], r_full[:pb.size]
+                np.multiply(gb, 1 - b1, out=s)
+                mb *= b1
+                mb += s
+                np.multiply(gb, 1 - b2, out=s)
+                s *= gb
+                vb *= b2
+                vb += s
+                np.divide(vb, c2, out=s)
+                np.sqrt(s, out=s)
+                s += eps
+                np.divide(mb, c1, out=r)
+                r /= s
+                np.multiply(pb, wd, out=s)
+                r += s
+                r *= lr
+                pb -= r
 
     def zero_grad(self):
         for p in self.params:

@@ -12,7 +12,9 @@ direction of the package's scan as a tape node, replaces;
 replaces; and ``tape_recon_loss`` and ``tape_task_loss``, the compositions
 the one-node loss terms replace.
 ``copy_on_first_accumulate_grad`` is gradient accumulation that copies,
-which the hand-over accumulation must match. The
+which the hand-over accumulation must match, and ``expression_adamw_step``
+the optimizer step as whole-array expressions, which the blocked in-place
+step must match. The
 time-invariant oracle (``LTIParams``, ``lti_scan``, ``discretize``) looks up ``ssm.linear_recurrence_*`` and ``ssm._zoh`` at call
 time, so it checks the sweeps and zero-order hold the model runs, and a
 test that patches them sees every call.
@@ -287,6 +289,27 @@ def copy_on_first_accumulate_grad(self, g):
         self.grad = np.array(g, dtype=self.data.dtype, copy=True)
     else:
         self.grad = self.grad + g
+
+
+def expression_adamw_step(opt):
+    """``training.AdamW.step`` as it was before it updated in place: each
+    moment and parameter becomes a new array, one expression each, over
+    the optimizer's state. The in-place step must match it bitwise."""
+    if opt.t == 0:
+        opt.m = [np.zeros_like(p.data) for p in opt.params]
+        opt.v = [np.zeros_like(p.data) for p in opt.params]
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    for i, p in enumerate(opt.params):
+        # no gradient still decays the moments and the weights
+        g = 0.0 if p.grad is None else p.grad
+        opt.m[i] = b1 * opt.m[i] + (1 - b1) * g
+        opt.v[i] = b2 * opt.v[i] + (1 - b2) * g * g
+        m_hat = opt.m[i] / (1 - b1 ** opt.t)
+        v_hat = opt.v[i] / (1 - b2 ** opt.t)
+        p.data = p.data - opt.lr * (
+            m_hat / (np.sqrt(v_hat) + opt.eps)
+            + opt.weight_decay * p.data)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,46 @@ def test_building_from_state_arrays_keeps_them():
         assert got[name] is arr, name
 
 
+def _transposed(a):
+    """A Fortran-ordered copy of a (a plain copy below two dimensions)."""
+    return a.T.copy().T
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("layout", [_transposed, _read_only],
+                         ids=["transposed", "read-only"])
+@pytest.mark.parametrize("loader", ["load_state_arrays", "from_state_arrays"])
+def test_a_loaded_model_steps_in_place_like_one_loaded_c_ordered(loader,
+                                                                 layout):
+    # AdamW writes each parameter through a flat view, which only a
+    # C-ordered, writeable array gives, so loading copies any other array
+    src = build_model("desk", seed=0)
+    named = src.state_arrays()
+    twins = []
+    for arrays in ([(n, arr.copy()) for n, arr in named],
+                   [(n, layout(arr)) for n, arr in named]):
+        if loader == "load_state_arrays":
+            model = build_model("desk", seed=9)
+            model.load_state_arrays(arrays)
+        else:
+            model = TextFusionModel.from_state_arrays(src.config, arrays)
+        params = model.parameters()
+        assert all(p.data.flags.c_contiguous and p.data.flags.writeable
+                   for p in params)
+        rng = np.random.default_rng(3)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape)
+        AdamW(params).step()
+        twins.append([p.data.tobytes() for p in params])
+    assert twins[0] == twins[1]
+    assert twins[0] != [arr.tobytes() for _, arr in named]
+
+
 @pytest.mark.parametrize("preset", ["sims", "mosi"])
 def test_built_model_holds_no_gradient_buffers(preset):
     import tracemalloc
