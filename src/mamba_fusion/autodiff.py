@@ -10,7 +10,7 @@ independent route used to validate all analytic gradients.
 Gradients are handed over, not copied. A tensor's first contribution
 becomes its gradient as it is; a later one makes a new array, the sum of
 the two. So a gradient array may be shared (``add`` hands the same ``g`` to
-both inputs) or be a view of another (``reshape``, ``transpose``), and
+both inputs) or be a view of another (``reshape``), and
 nothing may write into one: a backward function never writes to an array
 after returning it, nor to the ``g`` it is given.
 
@@ -33,9 +33,7 @@ __all__ = [
     "backward",
     "finite_difference_check",
     "Module",
-    "add", "mul", "matmul", "relu", "softmax_lastdim",
-    "l2_normalize_lastdim", "layer_norm", "concat",
-    "max_over_time", "reshape", "transpose",
+    "add", "mul", "matmul", "relu", "max_over_time", "reshape",
 ]
 
 # Multiply counter for instrumented FLOPs validation (see bench module).
@@ -295,39 +293,19 @@ def relu(a):
     return out
 
 
-def softmax_lastdim(a, temperature):
-    """Softmax over the last axis of ``a / temperature``, a positive float."""
-    z = a.data / temperature
-    _check_finite("softmax_lastdim", z)
-    _count_macs(z.size)
-    # Max-subtraction keeps the exponentials bounded.
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot) / temperature,)
-
-    _record(out, (a,), bwd)
-    return out
+def _softmax_np(z):
+    """Softmax over the last axis of z, written over z: the max-subtracted
+    exponentials, which stay bounded, over their sum."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def l2_normalize_lastdim(a, eps=1e-12):
-    norm = np.sqrt((a.data ** 2).sum(axis=-1, keepdims=True))
-    if np.any(norm < eps):
-        raise FloatingPointError("l2_normalize_lastdim: zero-norm row")
-    y = a.data / norm
-    out = Tensor(y)
-    _count_macs(out.size)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - y * dot) / norm,)
-
-    _record(out, (a,), bwd)
-    return out
+def _softmax_grad_np(g, s, temperature):
+    """g through s = softmax(a / temperature): the gradient of a."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - dot) / temperature
 
 
 def _layer_norm_np(x, gamma, beta, eps=1e-5):
@@ -356,31 +334,6 @@ def _layer_norm_grad_np(g, gamma, xhat, inv):
     return dx, dgamma.reshape(gamma.shape), dbeta.reshape(gamma.shape)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    y, xhat, inv = _layer_norm_np(x.data, gamma.data, beta.data, eps)
-    out = Tensor(y)
-    _count_macs(2 * out.size)
-
-    def bwd(g):
-        return _layer_norm_grad_np(g, gamma.data, xhat, inv)
-
-    _record(out, (x, gamma, beta), bwd)
-    return out
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-
-    def bwd(g):
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(g, splits, axis=axis))
-
-    _record(out, tuple(tensors), bwd)
-    return out
-
-
 def max_over_time(a):
     """Per-feature maximum over axis 0; gradient routes to the first argmax."""
     idx = a.data.argmax(axis=0)
@@ -402,20 +355,6 @@ def reshape(a, shape):
 
     def bwd(g):
         return (g.reshape(a.shape),)
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def transpose(a, axes=None):
-    out = Tensor(a.data.transpose(axes).copy())
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
 
     _record(out, (a,), bwd)
     return out

@@ -1,10 +1,10 @@
 """Text-aware modality enhancement.
 
 Aligns every modality to a common L x D grid, enriches audio/visual tokens
-with text tokens selected by thresholded cosine similarity, and
-reconstructs raw text features at missing positions under a masked
-Smooth-L1 objective, recorded as one tape node whose gradient is the
-clipped difference clip(d, -1, 1).
+with text tokens selected by thresholded cosine similarity (the similarity
+and the enrichment one tape node each), and reconstructs raw text features
+at missing positions under a masked Smooth-L1 objective, recorded as one
+tape node whose gradient is the clipped difference clip(d, -1, 1).
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Module, Parameter, Tensor, _check_finite, _record, add,
-    l2_normalize_lastdim, matmul, mul, no_grad, relu, softmax_lastdim,
-    transpose,
+    Module, Parameter, Tensor, _check_finite, _count_macs, _record,
+    _softmax_grad_np, _softmax_np, add, matmul, no_grad, relu,
 )
 
 
@@ -65,17 +64,58 @@ class Aligner(Module):
         return add(matmul(x, self.w), self.b)
 
 
+def _l2_normalize_np(a, eps=1e-12):
+    """The rows of a scaled to unit L2 norm, and the norms; a row of norm
+    below eps raises."""
+    norm = np.sqrt((a ** 2).sum(axis=-1, keepdims=True))
+    if np.any(norm < eps):
+        raise FloatingPointError("l2_normalize_lastdim: zero-norm row")
+    _count_macs(a.size)
+    return a / norm, norm
+
+
+def _l2_normalize_grad_np(g, y, norm):
+    """g through y = a / norm: the gradient of a."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - y * dot) / norm
+
+
 def token_similarity(h_x, h_t, tau):
-    """Row-stochastic similarity between token sets.
+    """Row-stochastic similarity between token sets, as one tape node.
 
     Rows are a softmax over text tokens of cosine similarity divided by
-    the temperature tau.
+    the temperature tau. The node keeps the float operations, operand
+    layouts, MAC counts and finite checks of two L2 normalizations, a
+    transpose, a matmul and the softmax recorded one node each, and holds
+    the normalized tokens and their norms.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    xn = l2_normalize_lastdim(h_x)
-    tn = l2_normalize_lastdim(h_t)
-    return softmax_lastdim(matmul(xn, transpose(tn)), float(tau))
+    tau = float(tau)
+    xn, x_norm = _l2_normalize_np(h_x.data)
+    tn, t_norm = _l2_normalize_np(h_t.data)
+    # over a contiguous transposed copy, as the transpose node made
+    z = xn @ tn.T.copy()
+    _check_finite("matmul", z)
+    _count_macs(z.size * xn.shape[1])
+    z /= tau
+    _check_finite("softmax_lastdim", z)
+    _count_macs(z.size)
+    s = _softmax_np(z)
+    out = Tensor(s)
+
+    def bwd(g):
+        dz = _softmax_grad_np(g, s, tau)
+        # each product in the operand layouts the matmul node's backward had
+        dxn = dz @ tn.T.copy().T
+        dtn = (xn.T @ dz).T
+        return (_l2_normalize_grad_np(dtn, tn, t_norm),
+                _l2_normalize_grad_np(dxn, xn, x_norm))
+
+    # the text tokens' normalization was the later node, so it was reached
+    # first
+    _record(out, (h_t, h_x), bwd)
+    return out
 
 
 def threshold_mask(s, length):
@@ -88,12 +128,29 @@ def threshold_mask(s, length):
 
 
 def enhance(h_x, s, m, h_t):
-    """h_x + (m o s) . h_t with the mask treated as a constant."""
+    """h_x + (m o s) . h_t with the mask treated as a constant, as one tape
+    node holding the mask; its backward recomputes m o s."""
     if s.shape != m.shape or h_x.shape != h_t.shape:
         raise ValueError(
             f"enhance: shape mismatch S{s.shape} M{m.shape} "
             f"H_x{h_x.shape} H_t{h_t.shape}")
-    return add(h_x, matmul(mul(m, s), h_t))
+    mask = m.data
+    masked = mask * s.data
+    _check_finite("mul", masked)
+    _count_macs(masked.size)
+    out = masked @ h_t.data
+    _check_finite("matmul", out)
+    _count_macs(out.size * masked.shape[1])
+    out += h_x.data
+    _check_finite("add", out)
+    out = Tensor(out)
+
+    def bwd(g):
+        dmasked = g @ h_t.data.T
+        return g, (mask * s.data).T @ g, dmasked * mask
+
+    _record(out, (h_x, h_t, s), bwd)
+    return out
 
 
 class TextReconstructor(Module):

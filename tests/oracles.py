@@ -1,16 +1,22 @@
 """Reference implementations the tests compare the package against.
 
 None of this runs outside the tests. The tape primitives (``sub``, ``div``,
-``neg``, ``exp``, ``softplus``, ``silu``, ``slicer``, ``sum_``,
-``flip_time``) and ``tape_recurrence``, the linear recurrence as a tape
-node over the package's plain-array sweep and adjoint, are the building
-blocks of the tape-path oracles: ``tape_scan_direction``, the primitive
-composition (time flip, ``tape_conv_causal``, SiLU,
-``tape_selective_scan``, time flip) that ``scan_direction_node``, one
-direction of the package's scan as a tape node, replaces;
-``tape_bimamba``, the 13-node composition the one-node BiMamba call
-replaces; and ``tape_recon_loss`` and ``tape_task_loss``, the compositions
-the one-node loss terms replace.
+``neg``, ``exp``, ``softplus``, ``silu``, ``softmax_lastdim``,
+``l2_normalize_lastdim``, ``layer_norm``, ``concat``, ``transpose``,
+``slicer``, ``sum_``, ``flip_time``) and ``tape_recurrence``, the linear
+recurrence as a tape node over the package's plain-array sweep and
+adjoint, are the building blocks of the tape-path oracles:
+``tape_scan_direction``, the primitive composition (time flip,
+``tape_conv_causal``, SiLU, ``tape_selective_scan``, time flip) that
+``scan_direction_node``, one direction of the package's scan as a tape
+node, replaces; ``tape_bimamba``, the 13-node composition the one-node
+BiMamba call replaces; ``tape_cross_attention`` (with
+``tape_weights_and_values`` and ``tape_attend``), the 18-node composition
+the one-node attention call replaces, 19 with the concatenation of its
+key/value sources; ``tape_token_similarity`` and ``tape_enhance``, the
+compositions TME's one-node similarity and enhancement replace; and
+``tape_recon_loss`` and ``tape_task_loss``, the compositions the one-node
+loss terms replace.
 ``copy_on_first_accumulate_grad`` is gradient accumulation that copies,
 which the hand-over accumulation must match, and ``expression_adamw_step``
 the optimizer step as whole-array expressions, which the blocked in-place
@@ -28,9 +34,9 @@ import numpy as np
 
 import mamba_fusion.ssm as ssm
 from mamba_fusion.autodiff import (
-    Tensor, _check_finite, _count_macs, _record, _sigmoid_np, _silu_grad_np,
-    _silu_np, _unbroadcast, add, concat, layer_norm, matmul, mul, reshape,
-    transpose,
+    Tensor, _check_finite, _count_macs, _layer_norm_grad_np, _layer_norm_np,
+    _record, _sigmoid_np, _silu_grad_np, _silu_np, _unbroadcast, add, matmul,
+    mul, reshape,
 )
 
 
@@ -125,6 +131,80 @@ def flip_time(a):
 
     def bwd(g):
         return (np.flip(g, axis=0),)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def softmax_lastdim(a, temperature):
+    """Softmax over the last axis of ``a / temperature``, a positive float."""
+    z = a.data / temperature
+    _check_finite("softmax_lastdim", z)
+    _count_macs(z.size)
+    # Max-subtraction keeps the exponentials bounded.
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(s)
+
+    def bwd(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - dot) / temperature,)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def l2_normalize_lastdim(a, eps=1e-12):
+    norm = np.sqrt((a.data ** 2).sum(axis=-1, keepdims=True))
+    if np.any(norm < eps):
+        raise FloatingPointError("l2_normalize_lastdim: zero-norm row")
+    y = a.data / norm
+    out = Tensor(y)
+    _count_macs(out.size)
+
+    def bwd(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return ((g - y * dot) / norm,)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    y, xhat, inv = _layer_norm_np(x.data, gamma.data, beta.data, eps)
+    out = Tensor(y)
+    _count_macs(2 * out.size)
+
+    def bwd(g):
+        return _layer_norm_grad_np(g, gamma.data, xhat, inv)
+
+    _record(out, (x, gamma, beta), bwd)
+    return out
+
+
+def concat(tensors, axis=0):
+    tensors = list(tensors)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    sizes = [t.shape[axis] for t in tensors]
+
+    def bwd(g):
+        splits = np.cumsum(sizes)[:-1]
+        return tuple(np.split(g, splits, axis=axis))
+
+    _record(out, tuple(tensors), bwd)
+    return out
+
+
+def transpose(a, axes=None):
+    out = Tensor(a.data.transpose(axes).copy())
+    if axes is None:
+        inv = None
+    else:
+        inv = np.argsort(axes)
+
+    def bwd(g):
+        return (g.transpose(inv),)
 
     _record(out, (a,), bwd)
     return out
@@ -280,6 +360,59 @@ def tape_bimamba(block, x):
                               block.scan_mode, reverse=True)
     gated = mul(add(y_f, y_b), silu(z))
     return add(x, add(matmul(gated, block.w_out), block.b_out))
+
+
+def tape_weights_and_values(attn, query, keyvalue):
+    """Every head's row-stochastic attention matrix, (H, L_q, L_kv), and
+    values, (H, L_kv, d), of a CrossAttention as tape nodes: heads lie on
+    the leading axis."""
+    qn = layer_norm(query, attn.norm_gamma, attn.norm_beta)
+    q = matmul(qn, attn.w_q)
+    k = matmul(keyvalue, attn.w_k)
+    v = matmul(keyvalue, attn.w_v)
+    split = (-1, attn.heads, attn.head_dim)
+    qh = transpose(reshape(q, split), (1, 0, 2))
+    kh_t = transpose(reshape(k, split), (1, 2, 0))
+    vh = transpose(reshape(v, split), (1, 0, 2))
+    scale = np.sqrt(float(attn.head_dim))
+    return softmax_lastdim(matmul(qh, kh_t), scale), vh
+
+
+def tape_attend(attn, query, keyvalue):
+    """A CrossAttention's output before the residual connection, as tape
+    nodes."""
+    weights, vh = tape_weights_and_values(attn, query, keyvalue)
+    merged = reshape(transpose(matmul(weights, vh), (1, 0, 2)), query.shape)
+    return add(matmul(merged, attn.w_o), attn.b_o)
+
+
+def tape_cross_attention(attn, query, *keyvalues):
+    """A CrossAttention call as the 18 tape nodes the one-node call
+    replaces, 19 with the concatenation of several key/value sources: the
+    layer norm; the q, k and v projections; a reshape and a transpose of
+    each onto the head axis; the scores' matmul and softmax; the value
+    product; the merge (transpose, reshape); the output projection
+    (matmul, bias) and the residual add."""
+    if len(keyvalues) > 1:
+        keyvalue = concat(keyvalues, axis=0)
+    else:
+        keyvalue = keyvalues[0] if keyvalues else query
+    return add(query, tape_attend(attn, query, keyvalue))
+
+
+def tape_token_similarity(h_x, h_t, tau):
+    """TME's similarity as the five tape nodes the one-node
+    ``tme.token_similarity`` replaces: two L2 normalizations, the
+    transpose, the matmul and the softmax, which divides by tau."""
+    xn = l2_normalize_lastdim(h_x)
+    tn = l2_normalize_lastdim(h_t)
+    return softmax_lastdim(matmul(xn, transpose(tn)), float(tau))
+
+
+def tape_enhance(h_x, s, m, h_t):
+    """TME's enhancement h_x + (m o s) . h_t as the three tape nodes the
+    one-node ``tme.enhance`` replaces."""
+    return add(h_x, matmul(mul(m, s), h_t))
 
 
 def copy_on_first_accumulate_grad(self, g):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import mamba_fusion
 from mamba_fusion import autodiff
 from mamba_fusion.autodiff import (
-    MacCounter, Parameter, Tape, Tensor, add, backward, concat,
-    finite_difference_check, l2_normalize_lastdim, layer_norm,
-    matmul, max_over_time, mul, no_grad, relu, reshape, softmax_lastdim,
-    transpose,
+    MacCounter, Parameter, Tape, Tensor, add, backward,
+    finite_difference_check, matmul, max_over_time, mul, no_grad, relu,
+    reshape,
 )
 from oracles import (
-    div, exp, flip_time, neg, silu, slicer, softplus, sub, sum_,
+    concat, div, exp, flip_time, l2_normalize_lastdim, layer_norm, neg,
+    silu, slicer, softmax_lastdim, softplus, sub, sum_, transpose,
 )
 
 

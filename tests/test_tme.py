@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from mamba_fusion.autodiff import (
-    Parameter, Tape, Tensor, add, backward, finite_difference_check, mul,
+    MacCounter, Parameter, Tape, Tensor, add, backward,
+    finite_difference_check, mul,
 )
 from mamba_fusion.tme import (
     Aligner, TextReconstructor, enhance, recon_loss, resample_matrix,
     threshold_mask, token_similarity,
 )
-from oracles import smooth_l1, sum_, tape_recon_loss
+from oracles import (
+    smooth_l1, sum_, tape_enhance, tape_recon_loss, tape_token_similarity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +129,79 @@ def test_similarity_invariant_under_positive_scaling():
 
 
 def test_similarity_records_five_tape_nodes():
-    # two L2 normalizations, the transpose, the matmul and the softmax,
-    # which also divides by the temperature
+    # the composition the node replaced: two L2 normalizations, the
+    # transpose, the matmul and the softmax, which also divides by the
+    # temperature; token_similarity records them as one node
     rng = np.random.default_rng(8)
-    with Tape() as tape:
-        token_similarity(Tensor(rng.standard_normal((4, 5))),
-                         Tensor(rng.standard_normal((6, 5))), tau=0.07)
-    assert len(tape.records) == 5
+    h_x = Tensor(rng.standard_normal((4, 5)))
+    h_t = Tensor(rng.standard_normal((6, 5)))
+    for call, nodes in ((tape_token_similarity, 5), (token_similarity, 1)):
+        with Tape() as tape:
+            call(h_x, h_t, tau=0.07)
+        assert len(tape.records) == nodes
+
+
+def _node_run(call, inputs, probe, priors, *args):
+    """Output, multiplies counted in the forward, and the inputs'
+    gradients after backward through sum(out * probe); an input that holds
+    a prior gradient starts from a copy of it."""
+    for t, prior in zip(inputs, priors):
+        t.grad = None if prior is None else prior.copy()
+    with Tape():
+        with MacCounter() as counter:
+            out = call(*args)
+        backward(sum_(mul(out, probe)))
+    return out.data, counter.macs, [t.grad for t in inputs]
+
+
+# (L_x, L_t, D, tau) of each case; "self" takes one token set as both
+# sets, so its gradient sums both normalizations' contributions, and
+# "grads-held" starts the inputs with a gradient
+SIMILARITY_CASES = {
+    "square": (6, 6, 5, 0.07),
+    "lx-ne-lt": (4, 7, 3, 0.5),
+    "t-text-1": (1, 1, 4, 0.07),
+    "self": (5, 5, 4, 0.07),
+    "grads-held": (6, 6, 5, 0.07),
+}
+
+
+def _similarity_case(case):
+    l_x, l_t, d, tau = SIMILARITY_CASES[case]
+    rng = np.random.default_rng(sorted(SIMILARITY_CASES).index(case))
+    h_x = Parameter(rng.standard_normal((l_x, d)), name="h_x")
+    h_t = h_x if case == "self" else \
+        Parameter(rng.standard_normal((l_t, d)), name="h_t")
+    probe = Tensor(rng.standard_normal((l_x, l_t)))
+    priors = [rng.standard_normal(t.shape) if case == "grads-held" else None
+              for t in (h_x, h_t)]
+    return (h_x, h_t), probe, priors, tau
+
+
+@pytest.mark.parametrize("case", sorted(SIMILARITY_CASES))
+def test_similarity_node_matches_tape_composition(case):
+    (h_x, h_t), probe, priors, tau = _similarity_case(case)
+    inputs = [h_x] if h_x is h_t else [h_x, h_t]
+    node = _node_run(token_similarity, inputs, probe, priors, h_x, h_t, tau)
+    tape = _node_run(tape_token_similarity, inputs, probe, priors, h_x, h_t,
+                     tau)
+    np.testing.assert_array_equal(node[0], tape[0])
+    length = h_t.shape[0]
+    np.testing.assert_array_equal(
+        threshold_mask(Tensor(node[0]), length).data,
+        threshold_mask(Tensor(tape[0]), length).data)
+    assert node[1] == tape[1]
+    for g, g_t in zip(node[2], tape[2]):
+        np.testing.assert_allclose(g, g_t, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("case", ["lx-ne-lt", "self"])
+def test_similarity_node_gradient_matches_finite_differences(case):
+    (h_x, h_t), probe, _, tau = _similarity_case(case)
+    err = finite_difference_check(
+        lambda: sum_(mul(token_similarity(h_x, h_t, tau), probe)),
+        [h_x, h_t])
+    assert err < 1e-4
 
 
 def test_similarity_rejects_bad_tau_and_zero_tokens():
@@ -217,6 +286,56 @@ def test_enhance_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         enhance(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 4))),
                 Tensor(np.zeros((4, 4))), Tensor(np.zeros((5, 3))))
+
+
+# (L, D) of each case; "self" enhances the text tokens themselves, and
+# "grads-held" starts the inputs with a gradient
+ENHANCE_CASES = {"l6": (6, 5), "t-text-1": (1, 4), "self": (5, 3),
+                 "grads-held": (6, 5)}
+
+
+def _enhance_case(case):
+    length, d = ENHANCE_CASES[case]
+    rng = np.random.default_rng(sorted(ENHANCE_CASES).index(case))
+    h_x = Parameter(rng.standard_normal((length, d)), name="h_x")
+    h_t = h_x if case == "self" else \
+        Parameter(rng.standard_normal((length, d)), name="h_t")
+    s = Parameter(rng.dirichlet(np.ones(length), size=length), name="s")
+    m = threshold_mask(s, length)
+    probe = Tensor(rng.standard_normal((length, d)))
+    inputs = [h_x, s] if h_x is h_t else [h_x, h_t, s]
+    priors = [rng.standard_normal(t.shape) if case == "grads-held" else None
+              for t in inputs]
+    return (h_x, s, m, h_t), inputs, probe, priors
+
+
+@pytest.mark.parametrize("case", sorted(ENHANCE_CASES))
+def test_enhance_node_matches_tape_composition(case):
+    args, inputs, probe, priors = _enhance_case(case)
+    node = _node_run(enhance, inputs, probe, priors, *args)
+    tape = _node_run(tape_enhance, inputs, probe, priors, *args)
+    np.testing.assert_array_equal(node[0], tape[0])
+    assert node[1] == tape[1]
+    for g, g_t in zip(node[2], tape[2]):
+        np.testing.assert_allclose(g, g_t, rtol=1e-9, atol=0)
+
+
+def test_enhance_node_gradient_matches_finite_differences():
+    args, inputs, probe, _ = _enhance_case("l6")
+    err = finite_difference_check(lambda: sum_(mul(enhance(*args), probe)),
+                                  inputs)
+    assert err < 1e-4
+
+
+def test_enhance_records_one_tape_node_and_no_mask_gradient():
+    # the mask is a constant: the node neither records it nor gives it a
+    # gradient, where the composition's product node did
+    args, inputs, probe, _ = _enhance_case("l6")
+    with Tape() as tape:
+        out = enhance(*args)
+        assert len(tape.records) == 1
+        backward(sum_(mul(out, probe)))
+    assert args[2].grad is None
 
 
 # ---------------------------------------------------------------------------
