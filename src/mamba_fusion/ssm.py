@@ -5,10 +5,12 @@ evaluation orders (``linear_recurrence_*``, which check, count and sweep
 plain arrays, one scan direction (conv, SiLU and selective scan) over
 plain arrays with its hand-written backward (``_scan_direction``), and the
 bidirectional block every fusion stage is built from, one tape node per
-call. A direction saves the SiLU output, the step-size logits, B, C and
-the states; its backward recomputes the conv, its sigmoid and
-exp(delta*A) and runs the recurrence's adjoint, one in-place
-backward-in-time sweep (``_adjoint_sweep``) for both orders. The default
+call. A direction saves the step-size logits, B, C and the states; its
+backward recomputes the conv, the SiLU output and exp(delta*A) and runs
+the recurrence's adjoint, one in-place backward-in-time sweep
+(``_adjoint_sweep``) for both orders. The block saves the layer norm's
+normalized input and inverse deviation, its input projection and the
+directions' sum, and rebuilds its gate from the projection. The default
 order, "recurrent", sweeps step by step in L - 1 multiplies per column;
 the "parallel" doubling-stride prefix scan makes 2 L ceil(log2 L). The
 forward holds two full (L, N, C) arrays, A_bar and the B_bar*x buffer the
@@ -240,9 +242,9 @@ def _scan_direction(u, cw, cb, params, mode, reverse):
     broadcast runs along a contiguous row of C channels; A is a_log's
     (C, N) transposed at call time. The readout y_t = C_t h_t is one
     stacked vector-matrix product over the state axis, as in Mamba's
-    reference scan (Gu & Dao 2023). The backward keeps x, the step-size
+    reference scan (Gu & Dao 2023). The backward keeps the step-size
     logits, B, C and the states h, and recomputes exp(delta*A), the conv
-    output and its sigmoid (the recomputation of Mamba, section 3.3). The
+    output and x from it (the recomputation of Mamba, section 3.3). The
     sweep writes h over the B_bar*x buffer, so the forward holds two full
     arrays, A_bar and that one. Since h_t = A_bar_t h_{t-1} + B_bar_t x_t
     and B_bar = (A_bar - 1)/A * B, the gradient with respect to delta*A is
@@ -274,6 +276,11 @@ def _scan_direction(u, cw, cb, params, mode, reverse):
 
     def backward(g):
         g = g[::-1] if reverse else g
+        # x is rebuilt in the forward's float operations; the conv's
+        # sigmoid is recomputed at the end, not held through the (L, N, C)
+        # arrays
+        conv = _conv_causal_np(u_in, cw, cb)
+        x = conv * _sigmoid_np(conv)
         a = -np.exp(a_log.T.copy())
         delta = _softplus(z)
         e = np.multiply(delta[:, None, :], a)
@@ -297,8 +304,7 @@ def _scan_direction(u, cw, cb, params, mode, reverse):
         dz = np.einsum("lnc,nc->lc", w, a) * _sigmoid_np(z)
         dc = np.matmul(h, g[:, :, None])[:, :, 0]
         dx += dz @ w_delta.T + db @ w_b.T + dc @ w_c.T
-        # through the SiLU and the conv, both recomputed from u_in
-        conv = _conv_causal_np(u_in, cw, cb)
+        # through the SiLU and the conv
         gc = _silu_grad_np(dx, conv, _sigmoid_np(conv))
         length = gc.shape[0]
         du = gc * cw[0]
@@ -360,12 +366,16 @@ class BiMamba(Module):
         gradient summation order of that composition recorded one node per
         primitive, and its gradients equal the composition's up to a zero's
         sign. It checks its input, its input projection (as "matmul") and
-        its output (under the block's name)."""
+        its output (under the block's name). The node holds the layer
+        norm's xhat and inverse deviation, the projection (as the views u
+        and z) and y_f + y_b; its backward rebuilds LayerNorm(x), the gate
+        and the gated product from them in the forward's float operations,
+        uncounted and unchecked."""
         if not np.isfinite(x.data).all():
             raise FloatingPointError(f"{self.name}: non-finite input")
-        gamma, w_in = self.norm_gamma.data, self.w_in.data
-        w_out = self.w_out.data
-        xn, xhat, inv = _layer_norm_np(x.data, gamma, self.norm_beta.data)
+        gamma, beta = self.norm_gamma.data, self.norm_beta.data
+        w_in, w_out = self.w_in.data, self.w_out.data
+        xn, xhat, inv = _layer_norm_np(x.data, gamma, beta)
         _count_macs(2 * xn.size)
         proj = xn @ w_in
         _check_finite("matmul", proj)
@@ -396,10 +406,14 @@ class BiMamba(Module):
 
         def bwd(g):
             nonlocal back_f, back_b
+            sig = _sigmoid_np(z)
+            gate = z * sig
             dgated = g @ w_out.T
-            dw_out = gated.T @ g
+            dw_out = (y * gate).T @ g
             dz = _silu_grad_np(dgated * y, z, sig)
             dy = dgated * gate
+            # freed before the directions' backward, which peaks higher
+            del sig, gate
             # each direction's saved arrays are freed once its backward ran
             du_b, *grads_b = back_b(dy)
             back_b = None
@@ -409,7 +423,8 @@ class BiMamba(Module):
             dx, dgamma, dbeta = _layer_norm_grad_np(dproj @ w_in.T, gamma,
                                                     xhat, inv)
             return (g, g.sum(axis=0), dw_out, *grads_b, *grads_f,
-                    dproj.sum(axis=0), xn.T @ dproj, dx, dgamma, dbeta)
+                    dproj.sum(axis=0), (xhat * gamma + beta).T @ dproj, dx,
+                    dgamma, dbeta)
 
         # listed in the order the separate nodes' backward reached them, so
         # a shared tensor (x, the conv, tied directions) sums its

@@ -36,8 +36,9 @@ import test_training
 # (module, text, its replacement, guard) of each mutant; the name's first
 # word names the node. The "oracle" guard compares the BiMamba node
 # bitwise, and the scan direction's gradients to 1e-9, with their tape
-# compositions in tests/oracles.py, the attention, similarity, enhancement
-# and loss nodes with theirs and with finite differences, the autodiff
+# compositions in tests/oracles.py and the block's gradients with finite
+# differences, the attention, similarity, enhancement and loss nodes with
+# their compositions and with finite differences, the autodiff
 # cores through those nodes' guards and the layer norm's finite
 # differences, and the optimizer step bitwise with its expression form;
 # the "hand-over" guard checks that no gradient array is written after it
@@ -51,6 +52,12 @@ MUTANTS = {
                           "oracle"),
     "bimamba-writes-g": (ssm, "dgated = g @ w_out.T",
                          "dgated = g @ w_out.T; g *= 0.5", "hand-over"),
+    "bimamba-gate-as-sig": (ssm, "gate = z * sig", "gate = sig", "oracle"),
+    "bimamba-gate-over-z": (ssm, "gate = z * sig",
+                            "gate = z; gate *= sig", "oracle"),
+    "bimamba-gated-as-y": (ssm, "(y * gate).T @ g", "y.T @ g", "oracle"),
+    "bimamba-xn-no-beta": (ssm, "(xhat * gamma + beta).T",
+                           "(xhat * gamma).T", "oracle"),
     "recon-unedited": (tme, "", "", "both"),
     "recon-drop-clip": (tme, "np.clip(d, -1.0, 1.0)", "d", "oracle"),
     "recon-drop-scale": (tme, "(g * scale) * ", "g * ", "oracle"),
@@ -66,6 +73,14 @@ MUTANTS = {
     "scan-e-plus-1": (ssm, "e -= 1.0", "e += 1.0", "oracle"),
     "scan-conv-bias-before-silu": (ssm, "dw, gc.sum(axis=0),",
                                    "dw, dx.sum(axis=0),", "oracle"),
+    "scan-x-as-conv": (ssm, "x = conv * _sigmoid_np(conv)", "x = conv",
+                       "oracle"),
+    "scan-x-over-conv": (ssm, "x = conv * _sigmoid_np(conv)",
+                         "x = conv; x *= _sigmoid_np(conv)", "oracle"),
+    # the block hands one dy to both directions, so a direction that
+    # writes the g it is handed changes the other's
+    "scan-writes-g": (ssm, "(g * x).sum(axis=0))",
+                      "np.multiply(g, x, out=g).sum(axis=0))", "oracle"),
     "adamw-unedited": (training, "", "", "both"),
     "adamw-skip-last-block": (training, "range(0, data.size, block)",
                               "range(0, data.size - block + 1, block)",
@@ -182,14 +197,18 @@ def _oracle_fails(node):
     if node in ("bimamba", "scan"):
         bitwise = test_ssm.test_bimamba_node_is_bitwise_the_tape_path
         scan = test_ssm.test_fused_scan_gradients_match_the_tape_path
+        differences = test_ssm.test_bimamba_gradients_match_finite_differences
         # the BiMamba node's oracle runs the same scan-direction core, so
-        # only the scan's own comparison sees a mutant of its backward
+        # only the scan's own comparison sees a mutant of its backward, and
+        # only the block's finite differences see a direction writing the
+        # g both directions are handed (the oracle's sum hands both one g)
         return (any(_fails(bitwise, case, mode)
                     for case in test_ssm.BLOCK_CASES
                     for mode in ssm.SCAN_MODES)
                 or any(_fails(scan, mode, shape)
                        for shape in test_ssm.SCAN_SHAPES[:4]
-                       for mode in ssm.SCAN_MODES))
+                       for mode in ssm.SCAN_MODES)
+                or _fails(differences))
     if node == "adamw":
         bitwise = test_training.test_adamw_step_is_bitwise_the_expression_form
         return any(_fails(bitwise, shape, weight_decay)

@@ -530,10 +530,12 @@ def test_scan_backward_peak_memory(mode):
     # the recomputed exp(delta * a) (turned into lam * (exp - 1)/a in
     # place), the adjoint buffer lam and B * x / a (turned into
     # lam * (h + B * x / a) in place) are the three (L, N, C) arrays one
-    # backward needs, and numpy's broadcast buffers and the (L, C) arrays,
-    # the recomputed conv and sigmoid among them, bring the peak to about
-    # 3.3; a fourth, such as a d(a_bar) array or the product of a broadcast
-    # sum over l, pushes it past 3.5
+    # backward needs, and numpy's broadcast buffers and the (L, C) arrays
+    # bring the peak to about 3.44: the recomputed conv and the SiLU
+    # output x rebuilt from it live through the whole backward, the
+    # conv's sigmoid only at its end (holding it throughout reads 3.52);
+    # a fourth (L, N, C) array, such as a d(a_bar) array or the product of
+    # a broadcast sum over l, pushes it past 3.5
     weights, u, weight = _scan_inputs(8, *PEAK_SHAPE)
     for reverse in REVERSE:
         with Tape() as tape:
@@ -541,6 +543,35 @@ def test_scan_backward_peak_memory(mode):
         (_, _, bwd), = tape.records
         peak = _peak_full_arrays(lambda: bwd(weight))
         assert peak < 3.5, f"reverse={reverse}: peak {peak:.2f} full arrays"
+
+
+@pytest.mark.parametrize("mode", ["recurrent", "parallel"])
+def test_recording_bimamba_call_holds_the_states_and_five_rows(mode):
+    # at mosi's width (expansion 4, N = 12, L = 50) a recording call holds
+    # each direction's states h, two (L, N, C) arrays, and five (L, C)
+    # arrays: the projection's halves u and z, y_f + y_b and each
+    # direction's step-size logits; the layer norm's xhat and the output
+    # (a quarter of an (L, C) array each at expansion 4) and B and C bring
+    # it to about 2.47 full arrays. One more saved (L, C) array, such as a
+    # direction's SiLU output, the gate or the gated product, pushes it
+    # past two full arrays and six (L, C) ones; saving all of those and
+    # LayerNorm(x) read 2.91
+    length, state_dim, expansion, d_model = 50, 12, 4, 128
+    rng = np.random.default_rng(17)
+    block = BiMamba(d_model, state_dim, rng, expansion=expansion,
+                    scan_mode=mode)
+    x = Tensor(rng.standard_normal((length, d_model)))
+    row = length * expansion * d_model * 8
+    full = state_dim * row
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            block(x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.records) == 1
+    assert held < 2 * full + 6 * row, f"held {held / full:.3f} full arrays"
 
 
 @pytest.mark.parametrize("mode", ["recurrent", "parallel"])

@@ -8,7 +8,7 @@ import pytest
 
 from mamba_fusion import autodiff
 from mamba_fusion.autodiff import Parameter, Tape, backward, mul
-from mamba_fusion.datagen import generate
+from mamba_fusion.datagen import ShapeSpec, generate
 from mamba_fusion.harness import (
     CorruptionConfig, corrupt_batch, evaluate_fixed,
 )
@@ -197,22 +197,14 @@ def test_adamw_descends_a_quadratic():
     assert np.all(np.abs(p.data) < 0.1)
 
 
-def test_desk_training_step_peak_memory():
-    # one step of a batch of 8: zero_grad releases the last step's
-    # gradients, each first backward contribution becomes a gradient as it
-    # is, backward frees each node's saved arrays once its backward
-    # function has run, and each BiMamba call is one node that saves its
-    # input projection once, as the views u and z, and each direction's
-    # SiLU output but not its conv output, its sigmoid or a time-flipped
-    # copy of its input; recording the block as 13 nodes, which save
-    # copies of u and z and keep the intermediate outputs, takes the peak
-    # from 7.2 to about 8.7 MiB. Each cross-attention call and each TME
-    # similarity and enhancement is one node too, which holds neither the
-    # scores nor the weights nor transposed copies, and that puts the peak
-    # at about 6.34 MiB
+def _train_step_peak_mib(preset, batch_size):
+    """tracemalloc's peak over a second train_step of the preset's model,
+    in MiB; the first step allocates the moments and leaves gradients."""
     import tracemalloc
-    model = build_model("desk", seed=0)
-    ds = generate(8, seed=1)
+    model = build_model(preset, seed=0)
+    c = model.config
+    ds = generate(batch_size, seed=1, shapes=ShapeSpec(
+        c.t_text, c.d_text, c.t_visual, c.d_visual, c.t_audio, c.d_audio))
     opt = AdamW(model.parameters())
 
     def step(epoch):
@@ -227,7 +219,33 @@ def test_desk_training_step_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    return peak / 2 ** 20
+
+
+def test_desk_training_step_peak_memory():
+    # one step of a batch of 8: zero_grad releases the last step's
+    # gradients, each first backward contribution becomes a gradient as it
+    # is, and backward frees each node's saved arrays once its backward
+    # function has run. Each BiMamba call is one node that saves the
+    # layer norm's xhat, its input projection once (as the views u and z),
+    # the directions' sum and each direction's step-size logits, B, C and
+    # states; its backward rebuilds LayerNorm(x), the gate, the gated
+    # product and each direction's conv and SiLU output. Each
+    # cross-attention call and each TME similarity and enhancement is one
+    # node too, which holds neither the scores nor the weights nor
+    # transposed copies. That puts the peak at about 5.38 MiB; saving the
+    # block's and the directions' rebuilt arrays read 6.34
+    peak = _train_step_peak_mib("desk", 8)
+    assert peak < 5.5, f"peak {peak:.2f} MiB"
+
+
+def test_mosi_training_step_peak_memory():
+    # a batch of 2 at mosi's width (L = 50, C = 512, N = 12), where each
+    # BiMamba node's states dominate what the tape holds; the peak is
+    # about 75.7 MiB, and saving the block's and the directions' rebuilt
+    # arrays (one (L, C) array is 0.2 MiB) read 82.8
+    peak = _train_step_peak_mib("mosi", 2)
+    assert peak < 76.0, f"peak {peak:.2f} MiB"
 
 
 def test_train_step_drops_the_tape_before_the_optimizer_step():
